@@ -31,6 +31,7 @@ from .metrics import (
 )
 from .patterns import (
     Pattern,
+    PatternMiner,
     PredictedJob,
     SimilarityParams,
     build_layers,

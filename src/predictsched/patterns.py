@@ -11,10 +11,19 @@ candidate period, the chain extends while the next unclaimed job's gap from
 the tail stays within the jitter bound of the running median period, and
 chains shorter than the minimum length are abandoned (their seed cannot be a
 member of any later chain, which only grows forward in time).
+
+Mining is prefix-incremental.  A job's requirement cluster depends only on
+the jobs before it in (submit_time, job_id) order, so a `PatternMiner` fed
+a growing history batch by batch keeps its clusters, their running medians
+and each cluster's layer-1 chains, and re-chains only the clusters that
+gained jobs.  Its patterns equal `mine_patterns` over the whole history,
+ids included; `group_similar_jobs` and `mine_patterns` are one-batch runs
+of the same miner.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import statistics
@@ -89,6 +98,108 @@ def _reqs_match(cpus_a: float, cpus_b: float, rt_a: float, rt_b: float,
     return abs(rt_a - rt_b) <= params.runtime_tol * max(rt_a, rt_b)
 
 
+def _median(ordered: list) -> float:
+    """statistics.median of an already sorted list, with the same arithmetic."""
+    n = len(ordered)
+    i = n // 2
+    return ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
+
+
+class _Cluster:
+    """One requirement cluster: members in submit order, sorted requirement
+    lists for the running medians, and the cached layer-1 chains."""
+
+    __slots__ = ("members", "cpus", "runtimes", "chains")
+
+    def __init__(self, job: Job):
+        self.members = [job]
+        self.cpus = [job.cpus]
+        self.runtimes = [job.runtime]
+        self.chains: Optional[list[Pattern]] = None
+
+    def matches(self, job: Job, params: SimilarityParams) -> bool:
+        return _reqs_match(
+            job.cpus, _median(self.cpus), job.runtime, _median(self.runtimes), params
+        )
+
+    def add(self, job: Job) -> None:
+        self.members.append(job)
+        bisect.insort(self.cpus, job.cpus)
+        bisect.insort(self.runtimes, job.runtime)
+        self.chains = None
+
+
+class PatternMiner:
+    """Clusters and mines a job history that grows at the end.
+
+    add() takes the jobs submitted since the last call; in (submit_time,
+    job_id) order they must not precede any job already added.  A job joins
+    the first cluster of its user (of everyone, when not same_user) whose
+    median cpus and runtime match it within tolerance, otherwise it opens a
+    new one.  patterns() re-chains only clusters that gained jobs since the
+    previous call.
+    """
+
+    def __init__(self, params: SimilarityParams = SimilarityParams(), max_layer: int = 3):
+        self.params = params
+        self.max_layer = max_layer
+        self._by_key: dict[int, list[_Cluster]] = {}
+        self._last: Optional[tuple[float, int]] = None
+
+    def add(self, jobs: Iterable[Job]) -> None:
+        for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
+            order = (job.submit_time, job.job_id)
+            if self._last is not None and order < self._last:
+                raise ValueError(
+                    f"job {job.job_id} precedes the mined history; "
+                    "add() only extends it"
+                )
+            self._last = order
+            key = job.user_id if self.params.same_user else 0
+            clusters = self._by_key.setdefault(key, [])
+            for cluster in clusters:
+                if cluster.matches(job, self.params):
+                    cluster.add(job)
+                    break
+            else:
+                clusters.append(_Cluster(job))
+
+    def _clusters(self) -> list[_Cluster]:
+        # users ascending, then clusters in creation order within each user
+        return [c for key in sorted(self._by_key) for c in self._by_key[key]]
+
+    def clusters(self) -> list[list[Job]]:
+        return [list(c.members) for c in self._clusters()]
+
+    def patterns(self) -> list[Pattern]:
+        """All layers, with the global ids mine_patterns assigns."""
+        layer1: list[Pattern] = []
+        for cluster in self._clusters():
+            offset = len(layer1)
+            if cluster.chains is None:
+                cluster.chains = detect_patterns(
+                    cluster.members, self.params, start_id=offset
+                )
+            elif cluster.chains and cluster.chains[0].pattern_id != offset:
+                # an earlier cluster's chain count changed: shift the ids
+                cluster.chains = [
+                    replace(p, pattern_id=offset + k)
+                    for k, p in enumerate(cluster.chains)
+                ]
+            layer1.extend(cluster.chains)
+        return build_layers(layer1, self.params, max_layer=self.max_layer)
+
+
+def _mined(
+    jobs: Workload | Sequence[Job], params: SimilarityParams, max_layer: int = 3
+) -> PatternMiner:
+    if not jobs:
+        raise ValueError("empty workload")
+    miner = PatternMiner(params, max_layer)
+    miner.add(jobs)
+    return miner
+
+
 def group_similar_jobs(
     workload: Workload | Sequence[Job], params: SimilarityParams = SimilarityParams()
 ) -> list[list[Job]]:
@@ -97,28 +208,7 @@ def group_similar_jobs(
     Single pass in submit order: a job joins the first cluster whose median
     cpus and runtime match it within tolerance, otherwise it opens a new one.
     """
-    jobs = sorted(workload, key=lambda j: (j.submit_time, j.job_id))
-    if not jobs:
-        raise ValueError("empty workload")
-
-    def key(job: Job):
-        return job.user_id if params.same_user else 0
-
-    by_user: dict[int, list[list[Job]]] = {}
-    for job in jobs:
-        clusters = by_user.setdefault(key(job), [])
-        for cluster in clusters:
-            med_cpus = statistics.median(j.cpus for j in cluster)
-            med_rt = statistics.median(j.runtime for j in cluster)
-            if _reqs_match(job.cpus, med_cpus, job.runtime, med_rt, params):
-                cluster.append(job)
-                break
-        else:
-            clusters.append([job])
-    out: list[list[Job]] = []
-    for user in sorted(by_user):
-        out.extend(by_user[user])
-    return out
+    return _mined(workload, params).clusters()
 
 
 def detect_patterns(
@@ -160,14 +250,14 @@ def detect_patterns(
             dead.add(anchor.job_id)
             continue
         chain = [anchor, avail[partner_idx]]
-        gaps = [avail[partner_idx].submit_time - anchor.submit_time]
+        gaps = [avail[partner_idx].submit_time - anchor.submit_time]  # kept sorted
         for j in avail[partner_idx + 1 :]:
             gap = j.submit_time - chain[-1].submit_time
-            p_med = statistics.median(gaps)
+            p_med = _median(gaps)
             if not gap_ok(gap, chain[-1]) or abs(gap - p_med) > params.period_jitter * p_med:
                 break
             chain.append(j)
-            gaps.append(gap)
+            bisect.insort(gaps, gap)
         if len(chain) >= params.min_occurrences:
             patterns.append(
                 Pattern(
@@ -176,7 +266,7 @@ def detect_patterns(
                     user_id=anchor.user_id,
                     rep_cpus=int(statistics.median_low(j.cpus for j in chain)),
                     rep_runtime=float(statistics.median(j.runtime for j in chain)),
-                    period=float(statistics.median(gaps)),
+                    period=float(_median(gaps)),
                     occurrences=tuple((j.job_id, j.submit_time) for j in chain),
                     child_ids=tuple(j.job_id for j in chain) if layer > 1 else (),
                 )
@@ -306,13 +396,7 @@ def mine_patterns(
     max_layer: int = 3,
 ) -> list[Pattern]:
     """Cluster, chain, and layer in one deterministic pass with global ids."""
-    layer1: list[Pattern] = []
-    next_id = 0
-    for cluster in group_similar_jobs(jobs, params):
-        found = detect_patterns(cluster, params, start_id=next_id)
-        layer1.extend(found)
-        next_id += len(found)
-    return build_layers(layer1, params, max_layer=max_layer)
+    return _mined(jobs, params, max_layer).patterns()
 
 
 def predictions_to_csv(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Collection, Optional
 
 from .confidence import (
     Decision,
@@ -28,10 +28,11 @@ from .confidence import (
     update_thresholds,
 )
 from .patterns import (
+    PatternMiner,
     PredictedJob,
     SimilarityParams,
     _reqs_match,
-    mine_patterns,
+    mine_patterns,  # noqa: F401  not called here; benchmarks/tracing.py wraps this name
     prolong,
     with_confidence,
 )
@@ -85,13 +86,19 @@ class Reservation:
 
 @dataclass
 class ClusterState:
-    """Instantaneous processor accounting; free_cpus excludes hard holds."""
+    """Instantaneous processor accounting; free_cpus excludes hard holds.
+
+    active_reservations is the live book: only reservations not yet
+    consumed, cancelled or expired, keyed by res_id in creation order.  A
+    reservation leaves it the moment it ends; Telemetry.reservations keeps
+    the full history.  queue holds the waiting jobs keyed by job id.
+    """
 
     total_cpus: int
     free_cpus: int
     running: dict[int, tuple[float, int]] = field(default_factory=dict)
-    active_reservations: list[Reservation] = field(default_factory=list)
-    queue: list[Job] = field(default_factory=list)
+    active_reservations: dict[int, Reservation] = field(default_factory=dict)
+    queue: dict[int, Job] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,10 @@ class ForecasterConfig:
 
 @dataclass
 class Telemetry:
+    """What a forecasting run did: every reservation ever made, live or
+    ended (the engine's live book drops ended ones), and one feedback event
+    per consumed or expired reservation."""
+
     feedback: list[FeedbackEvent] = field(default_factory=list)
     reservations: list[Reservation] = field(default_factory=list)
     final_thresholds: Optional[ThresholdState] = None
@@ -123,7 +134,7 @@ class Telemetry:
 
 def match_arrival(
     job: Job,
-    active_reservations: Sequence[Reservation],
+    active_reservations: Collection[Reservation],
     similarity: SimilarityParams,
 ) -> Optional[Reservation]:
     """Pick the live reservation this arrival most plausibly fulfils.
@@ -181,6 +192,14 @@ class _Engine:
         self.starts: dict[int, float] = {}
         self.finishes: dict[int, float] = {}
         self.thresholds = forecaster.thresholds if forecaster else ThresholdState()
+        # the forecaster mines the submitted prefix incrementally: each tick
+        # adds only the jobs submitted since the previous one
+        self.miner = (
+            PatternMiner(forecaster.similarity, forecaster.max_layer)
+            if forecaster
+            else None
+        )
+        self.mined = 0
         self.telemetry = Telemetry()
         self.next_res_id = 0
         self.unfinished = len(workload.jobs)
@@ -241,16 +260,17 @@ class _Engine:
 
     def _check_accounting(self) -> None:
         running = sum(c for _s, c in self.state.running.values())
-        hard = sum(
-            r.cpus
-            for r in self.state.active_reservations
-            if r.held and r.hard
-        )
-        soft = sum(
-            r.cpus
-            for r in self.state.active_reservations
-            if r.held and not r.hard
-        )
+        hard = soft = 0
+        for r in self.state.active_reservations.values():
+            if not r.live:
+                raise SimulationError(
+                    f"ended reservation {r.res_id} still in the book at t={self.now}"
+                )
+            if r.held:
+                if r.hard:
+                    hard += r.cpus
+                else:
+                    soft += r.cpus
         expected_free = self.state.total_cpus - running - hard
         if self.state.free_cpus != expected_free or soft != self.soft_held:
             raise SimulationError(
@@ -265,17 +285,20 @@ class _Engine:
             raise SimulationError("soft holds exceed free capacity")
 
     def _cancel_youngest_soft(self) -> None:
-        soft = [
-            r
-            for r in self.state.active_reservations
-            if r.live and r.held and r.decision is Decision.SOFT_RESERVE
-        ]
-        if not soft:
+        # the book is in res_id order, so the first soft hold from the end
+        # is the youngest
+        for res in reversed(self.state.active_reservations.values()):
+            if res.held and res.decision is Decision.SOFT_RESERVE:
+                break
+        else:
             raise SimulationError("soft release requested with no soft holds")
-        res = max(soft, key=lambda r: r.res_id)
         res.cancelled = True
         res.held = False
         self.soft_held -= res.cpus
+        self._retire(res)
+
+    def _retire(self, res: Reservation) -> None:
+        del self.state.active_reservations[res.res_id]
 
     def _start_job(self, job: Job) -> None:
         if job.cpus > self.state.free_cpus:
@@ -285,8 +308,7 @@ class _Engine:
             )
         while job.cpus > self.state.free_cpus - self.soft_held:
             self._cancel_youngest_soft()
-        if job in self.state.queue:
-            self.state.queue.remove(job)
+        self.state.queue.pop(job.job_id, None)
         self.state.free_cpus -= job.cpus
         self.state.running[job.job_id] = (self.now, job.cpus)
         self.starts[job.job_id] = self.now
@@ -305,7 +327,7 @@ class _Engine:
         consumed = None
         if self.fc is not None:
             consumed = match_arrival(
-                job, self.state.active_reservations, self.fc.similarity
+                job, self.state.active_reservations.values(), self.fc.similarity
             )
         started = False
         if consumed is not None:
@@ -313,7 +335,7 @@ class _Engine:
             if consumed.holds_capacity:
                 started = self._try_start(job)
         if not started:
-            self.state.queue.append(job)
+            self.state.queue[job.job_id] = job
         self._policy_pending = True
 
     def _on_finish(self, job: Job) -> None:
@@ -330,6 +352,7 @@ class _Engine:
             # capacity promised at creation no longer exists (runtime
             # underestimates); the hold cannot be established
             res.cancelled = True
+            self._retire(res)
             return
         res.held = True
         if res.hard:
@@ -341,6 +364,7 @@ class _Engine:
         if not res.live:
             return
         res.expired = True
+        self._retire(res)
         self._release_hold(res)
         self._feedback(res, came_true=False)
         self._policy_pending = True
@@ -356,6 +380,7 @@ class _Engine:
 
     def _consume(self, res: Reservation, job: Job) -> None:
         res.consumed = True
+        self._retire(res)
         self._release_hold(res)
         self._feedback(res, came_true=True)
 
@@ -377,7 +402,9 @@ class _Engine:
         self.telemetry.forecast_ticks += 1
         fc = self.fc
         if len(self.submitted) >= 2:
-            patterns = mine_patterns(self.submitted, fc.similarity, fc.max_layer)
+            self.miner.add(self.submitted[self.mined :])
+            self.mined = len(self.submitted)
+            patterns = self.miner.patterns()
             if patterns:
                 preds = prolong(
                     patterns, self.now, fc.horizon, fc.staleness_factor
@@ -421,16 +448,14 @@ class _Engine:
             match_width=width,
         )
         self.next_res_id += 1
-        self.state.active_reservations.append(res)
+        self.state.active_reservations[res.res_id] = res
         self.telemetry.reservations.append(res)
         if res.holds_capacity:
             self._push(window_start, _RES_START, res)
         self._push(window_end, _RES_EXPIRE, res)
 
     def _duplicate_reservation(self, pred: PredictedJob, width: float) -> bool:
-        for res in self.state.active_reservations:
-            if not res.live:
-                continue
+        for res in self.state.active_reservations.values():
             p = res.prediction
             if p.user_id != pred.user_id:
                 continue
@@ -447,7 +472,7 @@ class _Engine:
     def _window_feasible(self, ws: float, we: float, cpus: int) -> bool:
         """Would holding `cpus` through [ws, we) ever exceed the cluster?
 
-        Projects running jobs at their estimated finishes plus existing live
+        Projects running jobs at their estimated finishes plus the live
         capacity-holding reservations; queued jobs are ignored since planner
         policies route around blocks.
         """
@@ -458,8 +483,8 @@ class _Engine:
             fin = max(start + job.runtime_estimate, self.now)
             if fin > ws:
                 loads.append((ws, fin, c))
-        for res in self.state.active_reservations:
-            if res.live and res.holds_capacity:
+        for res in self.state.active_reservations.values():
+            if res.holds_capacity:
                 if res.window_end > ws and res.window_start < we:
                     loads.append((max(res.window_start, ws), res.window_end, res.cpus))
                     points.add(max(res.window_start, ws))
@@ -484,21 +509,22 @@ class _Engine:
             total_cpus=self.state.total_cpus,
             free_cpus=self.state.free_cpus,
             queue=tuple(
-                sorted(self.state.queue, key=lambda j: (j.submit_time, j.job_id))
+                sorted(
+                    self.state.queue.values(),
+                    key=lambda j: (j.submit_time, j.job_id),
+                )
             ),
             running=self._running_view(),
             hard_windows=self._hard_windows(),
         )
         starts = self.policy.select(view)
-        queued_ids = {j.job_id for j in self.state.queue}
         for job in starts:
-            if job.job_id not in queued_ids:
+            if job.job_id not in self.state.queue:
                 raise SimulationError(
                     f"policy {self.policy.name} started job {job.job_id} "
                     "which is not queued"
                 )
             self._start_job(job)
-            queued_ids.discard(job.job_id)
 
     def _running_view(self):
         rows = []
@@ -510,8 +536,8 @@ class _Engine:
 
     def _hard_windows(self):
         rows = []
-        for res in self.state.active_reservations:
-            if res.live and res.hard:
+        for res in self.state.active_reservations.values():
+            if res.hard:
                 start = self.now if res.held else res.window_start
                 rows.append((start, res.window_end, res.cpus))
         rows.sort()

@@ -4,7 +4,17 @@ import itertools
 
 import pytest
 
-from predictsched import ClusterConfig, Job, SimTrace, Workload
+from predictsched import (
+    ClusterConfig,
+    Job,
+    SimTrace,
+    SynthSpec,
+    SynthTemplate,
+    Workload,
+    synth_workload,
+)
+
+DAY = 86400.0
 
 
 def make_job(
@@ -50,6 +60,50 @@ def capacity_breaches(trace: SimTrace) -> list[float]:
         if busy > total:
             breaches.append(t)
     return breaches
+
+
+def lifecycle_workload() -> Workload:
+    """Four daily/half-daily users plus light noise (161 jobs over 12 days).
+
+    With thresholds (0.2, 0.6) on 16 cpus, `dl` makes soft and ignored
+    reservations that end consumed, expired and cancelled.
+    """
+    templates = (
+        SynthTemplate(user_id=1, cpus=4, runtime=3600, period=DAY, count=12),
+        SynthTemplate(user_id=2, cpus=4, runtime=3600, period=DAY, count=9),
+        SynthTemplate(user_id=3, cpus=2, runtime=1800, period=DAY / 2, count=24),
+        SynthTemplate(user_id=4, cpus=2, runtime=1800, period=DAY / 2, count=18),
+    )
+    wl, _ = synth_workload(
+        SynthSpec(horizon=12 * DAY, templates=templates, background_rate=1e-4),
+        seed=8,
+    )
+    return wl
+
+
+def weekly_workload() -> Workload:
+    """A weekday user whose Monday-Friday chains recur weekly, plus two
+    daily-ish users and noise (260 jobs over 28 days).
+
+    Mining reaches layer 2 both per user and pooled (same_user=False).
+    """
+    weekdays = tuple(
+        SynthTemplate(user_id=1, cpus=8, runtime=7200, period=7 * DAY,
+                      offset=k * DAY + 3600, count=5)
+        for k in range(5)
+    )
+    templates = weekdays + (
+        SynthTemplate(user_id=2, cpus=4, runtime=3600, period=DAY / 2,
+                      offset=1800, count=70, submit_jitter=0.01),
+        SynthTemplate(user_id=3, cpus=4, runtime=3000, period=DAY,
+                      offset=5000, count=35),
+    )
+    wl, _ = synth_workload(
+        SynthSpec(horizon=28 * DAY, templates=templates, background_rate=6e-5,
+                  background_runtime=(1800.0, 14400.0)),
+        seed=3,
+    )
+    return wl
 
 
 def enumerate_instances(max_jobs: int = 5):

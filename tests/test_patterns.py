@@ -1,6 +1,7 @@
 import pytest
 
 from predictsched import (
+    PatternMiner,
     SimilarityParams,
     SynthSpec,
     SynthTemplate,
@@ -13,9 +14,7 @@ from predictsched import (
     synth_workload,
 )
 
-from conftest import make_job, make_workload
-
-DAY = 86400.0
+from conftest import DAY, make_job, make_workload, weekly_workload
 
 
 def jobs_at(times, user=1, cpus=4, runtime=3600, start_id=1):
@@ -265,6 +264,41 @@ class TestInvariantsOnSynthetic:
         b = mine_patterns(wl)
         assert a == b
         assert prolong(a, 11 * DAY, DAY) == prolong(b, 11 * DAY, DAY)
+
+
+class TestPatternMiner:
+    @pytest.mark.parametrize("same_user", [True, False])
+    def test_daily_batches_equal_batch_mining(self, same_user):
+        # the engine feeds the miner one day of submits per forecast tick;
+        # after every batch it must agree with mining the whole prefix
+        jobs = list(weekly_workload())
+        params = SimilarityParams(same_user=same_user)
+        miner = PatternMiner(params)
+        mined, layers = 0, set()
+        day = 0
+        while mined < len(jobs):
+            day += 1
+            batch = [j for j in jobs[mined:] if j.submit_time <= day * DAY]
+            miner.add(batch)
+            mined += len(batch)
+            if not mined:
+                continue
+            prefix = jobs[:mined]
+            expected = mine_patterns(prefix, params)
+            assert miner.patterns() == expected, f"day {day}"
+            assert miner.clusters() == group_similar_jobs(prefix, params)
+            layers.update(p.layer for p in expected)
+        assert 2 in layers
+
+    def test_add_rejects_jobs_before_the_history(self):
+        miner = PatternMiner()
+        miner.add(jobs_at([0, DAY, 2 * DAY], start_id=1))
+        with pytest.raises(ValueError):
+            miner.add(jobs_at([DAY / 2], start_id=10))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError):
+            mine_patterns([])
 
 
 def test_predictions_csv_layout():

@@ -11,6 +11,7 @@ from predictsched import (
     SynthSpec,
     SynthTemplate,
     ThresholdState,
+    make_policy,
     match_arrival,
     run,
     run_with_telemetry,
@@ -18,8 +19,16 @@ from predictsched import (
     trace_to_csv,
 )
 from predictsched.policies import Policy
+from predictsched.simulator import _Engine
 
-from conftest import capacity_breaches, enumerate_instances, make_job, make_workload
+from conftest import (
+    capacity_breaches,
+    enumerate_instances,
+    lifecycle_workload,
+    make_job,
+    make_workload,
+    weekly_workload,
+)
 
 P = 14400.0  # pattern period used by the reservation scenarios
 
@@ -281,16 +290,7 @@ class TestReservationScenarios:
 
 class TestLifecycleProperty:
     def test_every_reservation_ends_once_with_one_feedback(self):
-        templates = (
-            SynthTemplate(user_id=1, cpus=4, runtime=3600, period=86400, count=12),
-            SynthTemplate(user_id=2, cpus=4, runtime=3600, period=86400, count=9),
-            SynthTemplate(user_id=3, cpus=2, runtime=1800, period=43200, count=24),
-            SynthTemplate(user_id=4, cpus=2, runtime=1800, period=43200, count=18),
-        )
-        wl, _ = synth_workload(
-            SynthSpec(horizon=12 * 86400, templates=templates, background_rate=1e-4),
-            seed=8,
-        )
+        wl = lifecycle_workload()
         fc = ForecasterConfig(thresholds=ThresholdState(0.2, 0.6, min_gap=0.05))
         trace, tel = run_with_telemetry(wl, ClusterConfig(16), "dl", fc)
         assert not capacity_breaches(trace)
@@ -306,6 +306,39 @@ class TestLifecycleProperty:
                 assert id(res.prediction) not in fed_by_res
         n_closed = sum(1 for r in tel.reservations if r.consumed or r.expired)
         assert len(tel.feedback) == n_closed
+
+
+class BookCheckingEngine(_Engine):
+    """Checks after every event that the book holds exactly the live
+    reservations, in res_id order."""
+
+    checks = 0
+
+    def _check_accounting(self):
+        super()._check_accounting()
+        live = [r for r in self.telemetry.reservations if r.live]
+        book = self.state.active_reservations
+        assert list(book) == [r.res_id for r in live]
+        assert all(book[r.res_id] is r for r in live)
+        self.checks += 1
+
+
+class TestLiveBook:
+    def test_book_holds_exactly_the_live_reservations(self):
+        fc = ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
+        engine = BookCheckingEngine(
+            weekly_workload(), ClusterConfig(16), make_policy("dl"), fc
+        )
+        engine.run()
+        assert engine.checks > 0
+        assert engine.state.active_reservations == {}
+        history = engine.telemetry.reservations
+        assert [r.res_id for r in history] == list(range(engine.next_res_id))
+        # every way out of the book is exercised
+        assert any(r.consumed for r in history)
+        assert any(r.expired for r in history)
+        assert any(r.cancelled for r in history)
+        assert any(r.hard for r in history)
 
 
 class TestNoLookahead:
