@@ -61,12 +61,9 @@ from .ranking import (
 )
 from .simtrace import SimTrace, TraceRecord, trace_from_csv, trace_to_csv
 from .simulator import (
-    ClusterState,
     ForecasterConfig,
-    Reservation,
     SimulationError,
     Telemetry,
-    match_arrival,
     run,
     run_with_telemetry,
 )

@@ -67,11 +67,6 @@ def _read_file(path: str) -> str:
     return p.read_text(encoding="utf-8")
 
 
-def _load(args) -> "Workload":
-    _read_file(args.workload)
-    return load_workload(args.workload, args.format)
-
-
 def _seed(args) -> int:
     env = os.environ.get("PREDICTSCHED_SEED")
     if env is not None:
@@ -90,7 +85,7 @@ def _similarity(args) -> SimilarityParams:
 
 
 def cmd_analyze(args) -> int:
-    workload = _load(args)
+    workload = load_workload(args.workload, args.format)
     series = to_time_series(workload, args.channel, args.bin_width)
     result = hurst_exponent(series)
     print(f"workload: {workload.source_name} ({len(workload)} jobs)")
@@ -103,7 +98,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    workload = _load(args)
+    workload = load_workload(args.workload, args.format)
     params = _similarity(args)
     patterns = mine_patterns(workload, params, max_layer=args.max_layer)
     now = args.now if args.now is not None else workload.jobs[-1].submit_time
@@ -142,7 +137,7 @@ def _forecaster_config(args) -> ForecasterConfig:
 
 
 def cmd_simulate(args) -> int:
-    workload = _load(args)
+    workload = load_workload(args.workload, args.format)
     cluster = _cluster(args)
     forecaster = _forecaster_config(args) if args.policy == "dl" else None
     trace, telemetry = run_with_telemetry(workload, cluster, args.policy, forecaster)
@@ -187,7 +182,7 @@ def cmd_compare(args) -> int:
         raise CliError("compare needs at least 2 policies (or --matrix)", code=2)
     if not args.workload or args.cpus is None:
         raise CliError("compare needs --workload and --cpus", code=2)
-    workload = _load(args)
+    workload = load_workload(args.workload, args.format)
     cluster = _cluster(args)
     values = []
     for token in policies:

@@ -18,9 +18,10 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .patterns import Pattern, PredictedJob, SimilarityParams, _reqs_match
+from .patterns import Pattern, PredictedJob, SimilarityParams, reqs_match
 
 MODES = ("survival", "pdf_normalized")
+_PERIOD_RATIO_TOL = 0.25
 
 
 class Decision(enum.Enum):
@@ -53,13 +54,12 @@ def _make_group(member_ids: Sequence[int], lengths: Sequence[int]) -> PatternGro
 
 def group_patterns(
     patterns: Sequence[Pattern],
-    period_ratio_tol: float = 0.25,
     req_params: SimilarityParams = SimilarityParams(),
 ) -> list[PatternGroup]:
     """Cohort patterns by period ratio and requirement similarity.
 
     Two patterns share a group when max/min of their periods is at most
-    1 + period_ratio_tol and their representative requirements match within
+    1 + _PERIOD_RATIO_TOL and their representative requirements match within
     the similarity tolerances.  Grouping is a single pass in pattern_id
     order against group medians; cohorts never span layers (length
     statistics of chains and super-chains are not comparable).
@@ -71,11 +71,11 @@ def group_patterns(
                 continue
             med_period = statistics.median(m.period for m in members)
             lo, hi = min(p.period, med_period), max(p.period, med_period)
-            if hi / lo > 1.0 + period_ratio_tol:
+            if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
                 continue
             med_cpus = statistics.median(m.rep_cpus for m in members)
             med_rt = statistics.median(m.rep_runtime for m in members)
-            if _reqs_match(p.rep_cpus, med_cpus, p.rep_runtime, med_rt, req_params):
+            if reqs_match(p.rep_cpus, med_cpus, p.rep_runtime, med_rt, req_params):
                 members.append(p)
                 break
         else:
@@ -174,6 +174,10 @@ def update_thresholds(
     elif c >= state.t_high:
         if came_true:
             t_high = max(t_low + state.min_gap, t_high - state.step)
+            # t_low + min_gap can round to a float whose distance from t_low
+            # is below min_gap; step up to the first one that keeps the gap
+            while t_high - state.min_gap < t_low:
+                t_high = math.nextafter(t_high, math.inf)
         else:
             t_high = min(1.0, t_high + state.step)
     else:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .simtrace import SimTrace
 from .workload import ClusterConfig
 
@@ -100,8 +98,3 @@ def objectives(trace: SimTrace, cluster: ClusterConfig) -> ObjectiveVector:
         utilization=resource_utilization(trace, cluster),
         slowdown=slowdown(trace),
     )
-
-
-def objective_table(vectors: dict[str, ObjectiveVector]) -> np.ndarray:
-    """Stack named objective vectors into an algorithms x objectives array."""
-    return np.array([vectors[name].as_tuple() for name in vectors], dtype=float)

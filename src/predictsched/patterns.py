@@ -91,8 +91,9 @@ class PredictedJob:
     steps_ahead: int = 1  # prolongation index past the pattern's last occurrence
 
 
-def _reqs_match(cpus_a: float, cpus_b: float, rt_a: float, rt_b: float,
-                params: SimilarityParams) -> bool:
+def reqs_match(cpus_a: float, cpus_b: float, rt_a: float, rt_b: float,
+               params: SimilarityParams) -> bool:
+    """Do two (cpus, runtime) requirements agree within the tolerances?"""
     if abs(cpus_a - cpus_b) > params.cpu_tol * max(cpus_a, cpus_b):
         return False
     return abs(rt_a - rt_b) <= params.runtime_tol * max(rt_a, rt_b)
@@ -118,7 +119,7 @@ class _Cluster:
         self.chains: Optional[list[Pattern]] = None
 
     def matches(self, job: Job, params: SimilarityParams) -> bool:
-        return _reqs_match(
+        return reqs_match(
             job.cpus, _median(self.cpus), job.runtime, _median(self.runtimes), params
         )
 
@@ -323,15 +324,17 @@ def build_layers(
     return all_patterns
 
 
+_STALENESS_FACTOR = 2.0
+
+
 def prolong(
     patterns: Sequence[Pattern],
     now: float,
     horizon: float,
-    staleness_factor: float = 2.0,
 ) -> list[PredictedJob]:
     """Extend each live pattern into (now, now + horizon].
 
-    A pattern is live while its last occurrence is within staleness_factor
+    A pattern is live while its last occurrence is within _STALENESS_FACTOR
     periods of now; beyond that it stops producing phantom arrivals.  Super
     patterns spawn their most recent child chain's full occurrence block at
     every predicted super-period tick.
@@ -342,7 +345,7 @@ def prolong(
     preds: list[PredictedJob] = []
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         last = p.last_time
-        if now - last > staleness_factor * p.period:
+        if now - last > _STALENESS_FACTOR * p.period:
             continue
         if p.layer == 1:
             k = 1

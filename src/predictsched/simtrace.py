@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .workload import ClusterConfig
+from .workload import ClusterConfig, fmt_seconds
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def trace_to_csv(trace: SimTrace) -> str:
     writer = csv.writer(out)
     writer.writerow(["job_id", "submit", "start", "finish", "cpus"])
     for r in trace.records:
-        writer.writerow([r.job_id, _num(r.submit), _num(r.start), _num(r.finish), r.cpus])
+        writer.writerow([r.job_id, fmt_seconds(r.submit), fmt_seconds(r.start),
+                         fmt_seconds(r.finish), r.cpus])
     return out.getvalue()
 
 
@@ -54,7 +55,3 @@ def trace_from_csv(text: str, cluster: ClusterConfig, policy_name: str = "") -> 
         for row in reader
     )
     return SimTrace(records=records, cluster=cluster, policy_name=policy_name)
-
-
-def _num(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))

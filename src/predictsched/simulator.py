@@ -13,6 +13,7 @@ number, which makes repeated runs byte-identical.
 
 from __future__ import annotations
 
+import enum
 import heapq
 from dataclasses import dataclass, field
 from typing import Collection, Optional
@@ -31,9 +32,9 @@ from .patterns import (
     PatternMiner,
     PredictedJob,
     SimilarityParams,
-    _reqs_match,
     mine_patterns,  # noqa: F401  not called here; benchmarks/tracing.py wraps this name
     prolong,
+    reqs_match,
     with_confidence,
 )
 from .policies import Policy, SchedulerView, make_policy
@@ -48,6 +49,25 @@ class SimulationError(RuntimeError):
 # event kinds in equal-time processing order
 _FINISH, _RES_EXPIRE, _SUBMIT, _RES_START, _FORECAST = range(5)
 
+# a prediction matches arrivals within this fraction of its pattern's
+# period of the predicted submit, and never more than 6 h either side
+_MATCH_WINDOW_FRAC = 0.25
+_MATCH_WINDOW_CAP = 21600.0
+
+
+class ResState(enum.Enum):
+    """Where a Reservation is in its lifecycle (see its docstring)."""
+
+    PENDING = "pending"
+    HELD = "held"
+    CONSUMED = "consumed"
+    CANCELLED = "cancelled"
+    EXPIRED = "expired"
+
+
+# a member looked up through the class costs ~10x a global name on hot paths
+_PENDING, _HELD, _CONSUMED, _CANCELLED, _EXPIRED = ResState
+
 
 @dataclass
 class Reservation:
@@ -57,6 +77,13 @@ class Reservation:
     their whole window and cannot be displaced; soft ones hold capacity but
     yield to real jobs; ignored predictions hold nothing and exist only so
     their outcome can feed threshold adaptation.
+
+    state runs PENDING -> HELD -> one of CONSUMED, CANCELLED or EXPIRED; a
+    capacity-holding reservation becomes HELD when its window opens, an
+    ignored one stays PENDING.  It ends exactly once, through the engine's
+    one exit `_end`: CONSUMED when an arrival matches it, EXPIRED when its
+    window closes unmatched (both feed back one outcome), or CANCELLED, with
+    no feedback, when its hold cannot be established or yields to a job.
     """
 
     res_id: int
@@ -66,10 +93,7 @@ class Reservation:
     window_end: float
     decision: Decision
     match_width: float
-    consumed: bool = False
-    cancelled: bool = False
-    expired: bool = False
-    held: bool = False
+    state: ResState = _PENDING
 
     @property
     def hard(self) -> bool:
@@ -81,17 +105,23 @@ class Reservation:
 
     @property
     def live(self) -> bool:
-        return not (self.consumed or self.cancelled or self.expired)
+        return self.state is _PENDING or self.state is _HELD
+
+    @property
+    def consumed(self) -> bool:
+        return self.state is _CONSUMED
 
 
 @dataclass
 class ClusterState:
     """Instantaneous processor accounting; free_cpus excludes hard holds.
 
-    active_reservations is the live book: only reservations not yet
-    consumed, cancelled or expired, keyed by res_id in creation order.  A
-    reservation leaves it the moment it ends; Telemetry.reservations keeps
-    the full history.  queue holds the waiting jobs keyed by job id.
+    active_reservations is the live book: only PENDING and HELD
+    reservations, keyed by res_id in creation order.  A reservation leaves
+    it the moment it ends; Telemetry.reservations keeps the full history.
+    Hard HELD reservations are subtracted from free_cpus; soft ones are
+    counted apart (the engine's soft_held) because they yield to real jobs.
+    queue holds the waiting jobs keyed by job id.
     """
 
     total_cpus: int
@@ -103,16 +133,17 @@ class ClusterState:
 
 @dataclass(frozen=True)
 class ForecasterConfig:
+    """Settings of the `dl` forecaster.  Every tick it mines the submitted
+    jobs, prolongs the patterns over horizon and scores each prediction;
+    thresholds turn the scores into reservations that go PENDING -> HELD ->
+    CONSUMED, CANCELLED or EXPIRED, ended only by the engine's `_end`."""
+
     similarity: SimilarityParams = SimilarityParams()
     thresholds: ThresholdState = ThresholdState()
     mode: str = "survival"
     tick: float = 86400.0
     horizon: float = 86400.0
     max_layer: int = 3
-    staleness_factor: float = 2.0
-    period_ratio_tol: float = 0.25
-    match_window_frac: float = 0.25
-    match_window_cap: float = 21600.0  # +/- 6 h at most
 
     def __post_init__(self):
         if self.tick <= 0 or self.horizon <= 0:
@@ -152,7 +183,7 @@ def match_arrival(
         p = res.prediction
         if similarity.same_user and p.user_id >= 0 and p.user_id != job.user_id:
             continue
-        if not _reqs_match(job.cpus, p.cpus, job.runtime, p.runtime, similarity):
+        if not reqs_match(job.cpus, p.cpus, job.runtime, p.runtime, similarity):
             continue
         d = abs(job.submit_time - p.predicted_submit)
         if d > res.match_width:
@@ -262,15 +293,15 @@ class _Engine:
         running = sum(c for _s, c in self.state.running.values())
         hard = soft = 0
         for r in self.state.active_reservations.values():
-            if not r.live:
-                raise SimulationError(
-                    f"ended reservation {r.res_id} still in the book at t={self.now}"
-                )
-            if r.held:
+            if r.state is _HELD:
                 if r.hard:
                     hard += r.cpus
                 else:
                     soft += r.cpus
+            elif r.state is not _PENDING:
+                raise SimulationError(
+                    f"ended reservation {r.res_id} still in the book at t={self.now}"
+                )
         expected_free = self.state.total_cpus - running - hard
         if self.state.free_cpus != expected_free or soft != self.soft_held:
             raise SimulationError(
@@ -288,17 +319,35 @@ class _Engine:
         # the book is in res_id order, so the first soft hold from the end
         # is the youngest
         for res in reversed(self.state.active_reservations.values()):
-            if res.held and res.decision is Decision.SOFT_RESERVE:
+            if res.state is _HELD and res.decision is Decision.SOFT_RESERVE:
                 break
         else:
             raise SimulationError("soft release requested with no soft holds")
-        res.cancelled = True
-        res.held = False
-        self.soft_held -= res.cpus
-        self._retire(res)
+        self._end(res, _CANCELLED)
 
-    def _retire(self, res: Reservation) -> None:
+    def _end(self, res: Reservation, outcome: ResState) -> None:
+        """The one exit of a reservation: release its hold, drop it from the
+        live book, and feed the outcome back unless it was cancelled."""
+        if res.state is _HELD:
+            if res.hard:
+                self.state.free_cpus += res.cpus
+            else:
+                self.soft_held -= res.cpus
+        res.state = outcome
         del self.state.active_reservations[res.res_id]
+        if outcome is _CANCELLED:
+            return
+        came_true = outcome is _CONSUMED
+        event = FeedbackEvent(
+            prediction=res.prediction,
+            came_true=came_true,
+            observed_time=self.now,
+            decision=res.decision,
+        )
+        self.telemetry.feedback.append(event)
+        self.thresholds = update_thresholds(
+            self.thresholds, came_true, res.prediction.confidence
+        )
 
     def _start_job(self, job: Job) -> None:
         if job.cpus > self.state.free_cpus:
@@ -314,27 +363,20 @@ class _Engine:
         self.starts[job.job_id] = self.now
         self._push(self.now + job.runtime, _FINISH, job)
 
-    def _try_start(self, job: Job) -> bool:
-        if job.cpus > self.state.free_cpus:
-            return False
-        self._start_job(job)
-        return True
-
     # -- event handlers ---------------------------------------------------
 
     def _on_submit(self, job: Job) -> None:
         self.submitted.append(job)
-        consumed = None
+        res = None
         if self.fc is not None:
-            consumed = match_arrival(
+            res = match_arrival(
                 job, self.state.active_reservations.values(), self.fc.similarity
             )
-        started = False
-        if consumed is not None:
-            self._consume(consumed, job)
-            if consumed.holds_capacity:
-                started = self._try_start(job)
-        if not started:
+            if res is not None:
+                self._end(res, _CONSUMED)
+        if res is not None and res.holds_capacity and job.cpus <= self.state.free_cpus:
+            self._start_job(job)
+        else:
             self.state.queue[job.job_id] = job
         self._policy_pending = True
 
@@ -346,15 +388,14 @@ class _Engine:
         self._policy_pending = True
 
     def _on_res_start(self, res: Reservation) -> None:
-        if not res.live or not res.holds_capacity or res.held:
+        if res.state is not _PENDING:
             return
         if res.cpus > self.state.free_cpus - self.soft_held:
             # capacity promised at creation no longer exists (runtime
             # underestimates); the hold cannot be established
-            res.cancelled = True
-            self._retire(res)
+            self._end(res, _CANCELLED)
             return
-        res.held = True
+        res.state = _HELD
         if res.hard:
             self.state.free_cpus -= res.cpus
         else:
@@ -363,38 +404,8 @@ class _Engine:
     def _on_res_expire(self, res: Reservation) -> None:
         if not res.live:
             return
-        res.expired = True
-        self._retire(res)
-        self._release_hold(res)
-        self._feedback(res, came_true=False)
+        self._end(res, _EXPIRED)
         self._policy_pending = True
-
-    def _release_hold(self, res: Reservation) -> None:
-        if not res.held:
-            return
-        res.held = False
-        if res.hard:
-            self.state.free_cpus += res.cpus
-        else:
-            self.soft_held -= res.cpus
-
-    def _consume(self, res: Reservation, job: Job) -> None:
-        res.consumed = True
-        self._retire(res)
-        self._release_hold(res)
-        self._feedback(res, came_true=True)
-
-    def _feedback(self, res: Reservation, came_true: bool) -> None:
-        event = FeedbackEvent(
-            prediction=res.prediction,
-            came_true=came_true,
-            observed_time=self.now,
-            decision=res.decision,
-        )
-        self.telemetry.feedback.append(event)
-        self.thresholds = update_thresholds(
-            self.thresholds, came_true, res.prediction.confidence
-        )
 
     # -- forecasting -------------------------------------------------------
 
@@ -406,13 +417,9 @@ class _Engine:
             self.mined = len(self.submitted)
             patterns = self.miner.patterns()
             if patterns:
-                preds = prolong(
-                    patterns, self.now, fc.horizon, fc.staleness_factor
-                )
+                preds = prolong(patterns, self.now, fc.horizon)
                 if preds:
-                    groups = group_patterns(
-                        patterns, fc.period_ratio_tol, fc.similarity
-                    )
+                    groups = group_patterns(patterns, fc.similarity)
                     by_id = {p.pattern_id: p for p in patterns}
                     for pred in preds:
                         self._consider_prediction(pred, by_id, groups)
@@ -427,7 +434,7 @@ class _Engine:
             pattern.length + pred.steps_ahead, group, fc.mode
         )
         pred = with_confidence(pred, conf)
-        width = min(fc.match_window_frac * pattern.period, fc.match_window_cap)
+        width = min(_MATCH_WINDOW_FRAC * pattern.period, _MATCH_WINDOW_CAP)
         if self._duplicate_reservation(pred, width):
             return
         decision = decide(conf, self.thresholds)
@@ -459,7 +466,7 @@ class _Engine:
             p = res.prediction
             if p.user_id != pred.user_id:
                 continue
-            if not _reqs_match(
+            if not reqs_match(
                 pred.cpus, p.cpus, pred.runtime, p.runtime, self.fc.similarity
             ):
                 continue
@@ -479,7 +486,7 @@ class _Engine:
         points = {ws}
         loads: list[tuple[float, float, int]] = []
         for job_id, (start, c) in self.state.running.items():
-            job = self._job_by_id(job_id)
+            job = self._jobs[job_id]
             fin = max(start + job.runtime_estimate, self.now)
             if fin > ws:
                 loads.append((ws, fin, c))
@@ -497,9 +504,6 @@ class _Engine:
             if busy + cpus > self.state.total_cpus:
                 return False
         return True
-
-    def _job_by_id(self, job_id: int) -> Job:
-        return self._jobs[job_id]
 
     # -- policy dispatch ----------------------------------------------------
 
@@ -529,7 +533,7 @@ class _Engine:
     def _running_view(self):
         rows = []
         for job_id, (start, _cpus) in self.state.running.items():
-            job = self._job_by_id(job_id)
+            job = self._jobs[job_id]
             rows.append((job, start, start + job.runtime_estimate))
         rows.sort(key=lambda r: (r[1], r[0].job_id))
         return tuple(rows)
@@ -538,7 +542,7 @@ class _Engine:
         rows = []
         for res in self.state.active_reservations.values():
             if res.hard:
-                start = self.now if res.held else res.window_start
+                start = self.now if res.state is _HELD else res.window_start
                 rows.append((start, res.window_end, res.cpus))
         rows.sort()
         return tuple(rows)

@@ -235,18 +235,18 @@ def workload_to_csv(workload: Workload) -> str:
             j.job_id,
             j.user_id,
             j.group_id,
-            _fmt(j.submit_time),
-            _fmt(j.runtime),
-            _fmt(j.runtime_estimate),
+            fmt_seconds(j.submit_time),
+            fmt_seconds(j.runtime),
+            fmt_seconds(j.runtime_estimate),
             j.cpus,
         ]
         if any_deadline:
-            row.append("" if j.deadline is None else _fmt(j.deadline))
+            row.append("" if j.deadline is None else fmt_seconds(j.deadline))
         writer.writerow(row)
     return out.getvalue()
 
 
-def _fmt(x: float) -> str:
+def fmt_seconds(x: float) -> str:
     # integral seconds stay integral so serialized traces stay diffable
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 

@@ -1,9 +1,11 @@
-"""Behaviour lock for the forecasting policy `dl`.
+"""Behaviour lock for every policy.
 
-The sha256 of the trace CSV and of the feedback CSV of a few small `dl`
-runs is stored in `data/dl_fingerprints.json`.  A refactor of the engine,
-the miner or the confidence scoring must leave every byte unchanged.  When
-behaviour is meant to change, re-record with
+`data/dl_fingerprints.json` stores the sha256 of the trace CSV and of the
+feedback CSV of a few small `dl` runs, and under "policies" the sha256 of
+the trace CSV of each of the other ten policies on the lifecycle and weekly
+workloads.  A refactor of the engine, the planners, the miner or the
+confidence scoring must leave every byte unchanged.  When behaviour is
+meant to change, re-record with
 
     PYTHONPATH=src python tests/test_fingerprints.py --record
 """
@@ -20,9 +22,11 @@ import pytest
 from predictsched import (
     ClusterConfig,
     ForecasterConfig,
+    PolicyKind,
     SimilarityParams,
     ThresholdState,
     feedback_to_csv,
+    run,
     run_with_telemetry,
     trace_to_csv,
 )
@@ -30,6 +34,7 @@ from predictsched import (
 from conftest import lifecycle_workload, weekly_workload
 
 DATA = Path(__file__).parent / "data" / "dl_fingerprints.json"
+CLUSTER = ClusterConfig(16)
 
 # name -> (workload builder, same_user, thresholds); the weekly scenarios use
 # low thresholds so that hard reservations reshape the trace
@@ -39,18 +44,32 @@ SCENARIOS = {
     "weekly-pooled": (weekly_workload, False, ThresholdState(0.05, 0.1, min_gap=0.05)),
 }
 
+# the ten policies that run without a forecaster, on the two workloads
+POLICY_SCENARIOS = {"lifecycle": lifecycle_workload, "weekly": weekly_workload}
+PLAIN_POLICIES = tuple(
+    k.value for k in PolicyKind if k is not PolicyKind.DL_PREDICTIVE
+)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def fingerprint(name: str) -> dict[str, str]:
     build, same_user, thresholds = SCENARIOS[name]
     fc = ForecasterConfig(
         similarity=SimilarityParams(same_user=same_user), thresholds=thresholds
     )
-    trace, tel = run_with_telemetry(build(), ClusterConfig(16), "dl", fc)
+    trace, tel = run_with_telemetry(build(), CLUSTER, "dl", fc)
     return {
-        "trace": hashlib.sha256(trace_to_csv(trace).encode()).hexdigest(),
-        "feedback": hashlib.sha256(feedback_to_csv(tel.feedback).encode()).hexdigest(),
+        "trace": _sha(trace_to_csv(trace)),
+        "feedback": _sha(feedback_to_csv(tel.feedback)),
         "reservations": len(tel.reservations),
     }
+
+
+def policy_fingerprint(name: str, token: str) -> str:
+    return _sha(trace_to_csv(run(POLICY_SCENARIOS[name](), CLUSTER, token)))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -59,10 +78,19 @@ def test_dl_fingerprint_unchanged(name):
     assert fingerprint(name) == expected
 
 
+@pytest.mark.parametrize("token", PLAIN_POLICIES)
+@pytest.mark.parametrize("name", sorted(POLICY_SCENARIOS))
+def test_policy_fingerprint_unchanged(name, token):
+    expected = json.loads(DATA.read_text())["policies"][name][token]
+    assert policy_fingerprint(name, token) == expected
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit(__doc__)
-    DATA.write_text(
-        json.dumps({name: fingerprint(name) for name in sorted(SCENARIOS)}, indent=2)
-        + "\n"
-    )
+    record = {name: fingerprint(name) for name in sorted(SCENARIOS)}
+    record["policies"] = {
+        name: {token: policy_fingerprint(name, token) for token in PLAIN_POLICIES}
+        for name in sorted(POLICY_SCENARIOS)
+    }
+    DATA.write_text(json.dumps(record, indent=2) + "\n")

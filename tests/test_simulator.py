@@ -5,21 +5,19 @@ from predictsched import (
     Decision,
     ForecasterConfig,
     PredictedJob,
-    Reservation,
     SimilarityParams,
     SimulationError,
     SynthSpec,
     SynthTemplate,
     ThresholdState,
     make_policy,
-    match_arrival,
     run,
     run_with_telemetry,
     synth_workload,
     trace_to_csv,
 )
 from predictsched.policies import Policy
-from predictsched.simulator import _Engine
+from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
 
 from conftest import (
     capacity_breaches,
@@ -193,7 +191,7 @@ class TestMatchArrival:
 
     def test_consumed_reservation_ignored(self):
         res = self.make_res(0, 259200.0)
-        res.consumed = True
+        res.state = ResState.CONSUMED
         job = make_job(1, 259200.0, 3600, 4, user=1)
         assert match_arrival(job, [res], SimilarityParams()) is None
 
@@ -207,7 +205,7 @@ class TestReservationScenarios:
         assert len(scored) == 1
         res = scored[0]
         assert res.decision is Decision.HARD_RESERVE
-        assert res.consumed and not res.cancelled and not res.expired
+        assert res.state is ResState.CONSUMED
         assert [ev.came_true for ev in tel.feedback] == [True]
         # the predicted arrival starts the moment it lands in its window
         matched = next(r for r in trace.records if r.submit == 232400.0)
@@ -221,7 +219,7 @@ class TestReservationScenarios:
         trace, tel = run_with_telemetry(wl, ClusterConfig(8), "dl", fc)
         (res,) = tel.reservations
         assert res.decision is Decision.SOFT_RESERVE
-        assert res.cancelled and not res.consumed and not res.expired
+        assert res.state is ResState.CANCELLED
         assert tel.feedback == []  # cancelled is not falsified
         blocked = next(r for r in trace.records if r.job_id == 900)
         assert blocked.start == blocked.submit  # soft hold yielded immediately
@@ -245,8 +243,7 @@ class TestReservationScenarios:
         trace, tel = run_with_telemetry(wl, ClusterConfig(8), "dl", fc)
         (res,) = tel.reservations
         assert res.decision is Decision.IGNORE
-        assert not res.held
-        assert res.consumed
+        assert res.state is ResState.CONSUMED  # never HELD on the way
         assert [ev.came_true for ev in tel.feedback] == [True]
 
     def test_unfulfilled_prediction_expires_and_adapts(self):
@@ -254,7 +251,7 @@ class TestReservationScenarios:
         fc = surgical_config(t_low=0.01, t_high=0.02)
         _trace, tel = run_with_telemetry(wl, ClusterConfig(8), "dl", fc)
         (res,) = tel.reservations
-        assert res.expired and not res.consumed
+        assert res.state is ResState.EXPIRED
         assert [ev.came_true for ev in tel.feedback] == [False]
         # high-confidence miss pushes the upper border up by one step
         assert tel.final_thresholds.t_high == pytest.approx(0.04)
@@ -267,7 +264,7 @@ class TestReservationScenarios:
         fc = surgical_config(t_low=0.01, t_high=0.02)
         trace, tel = run_with_telemetry(wl, ClusterConfig(4), "dl", fc)
         (res,) = tel.reservations
-        assert res.cancelled and not res.held
+        assert res.state is ResState.CANCELLED
         assert tel.feedback == []
         assert not capacity_breaches(trace)
 
@@ -282,7 +279,7 @@ class TestReservationScenarios:
         live_windows = [
             (r.prediction.pattern_id, r.prediction.predicted_submit)
             for r in tel.reservations
-            if not r.cancelled
+            if r.state is not ResState.CANCELLED
         ]
         # no two live reservations ever target the same predicted arrival
         assert len(live_windows) == len(set(live_windows))
@@ -297,14 +294,15 @@ class TestLifecycleProperty:
         assert tel.reservations, "scenario should produce reservations"
         fed_by_res = {id(ev.prediction) for ev in tel.feedback}
         assert len(fed_by_res) == len(tel.feedback), "one feedback per prediction"
+        closed = (ResState.CONSUMED, ResState.EXPIRED)
         for res in tel.reservations:
-            terminal = [res.consumed, res.expired, res.cancelled]
-            assert sum(terminal) <= 1
-            if res.consumed or res.expired:
+            assert not res.live, "every reservation ends by the end of the run"
+            if res.state in closed:
                 assert id(res.prediction) in fed_by_res
-            if res.cancelled:
+            else:
+                assert res.state is ResState.CANCELLED
                 assert id(res.prediction) not in fed_by_res
-        n_closed = sum(1 for r in tel.reservations if r.consumed or r.expired)
+        n_closed = sum(1 for r in tel.reservations if r.state in closed)
         assert len(tel.feedback) == n_closed
 
 
@@ -335,9 +333,9 @@ class TestLiveBook:
         history = engine.telemetry.reservations
         assert [r.res_id for r in history] == list(range(engine.next_res_id))
         # every way out of the book is exercised
-        assert any(r.consumed for r in history)
-        assert any(r.expired for r in history)
-        assert any(r.cancelled for r in history)
+        assert {r.state for r in history} == {
+            ResState.CONSUMED, ResState.EXPIRED, ResState.CANCELLED
+        }
         assert any(r.hard for r in history)
 
 
