@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
+    except IsADirectoryError as exc:
+        print(f"error: is a directory, not a file: {exc.filename}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

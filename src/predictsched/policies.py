@@ -55,8 +55,12 @@ class SchedulerView:
 class CapacityProfile:
     """Free processors as a step function of time, from now onward.
 
-    The last segment extends to infinity.  reserve() carves a job (or a
-    reservation window) out of the profile; fit queries never mutate.
+    free[i] holds on [times[i], times[i + 1]); the last segment extends to
+    infinity.  reserve() carves a job (or a reservation window) out of the
+    profile; fit queries never mutate.  The loops below rely on two
+    invariants: times[0] == now, because nothing is added at or before it,
+    and times is strictly increasing, so the step after index j is j + 1.
+    Neighbouring steps may share a level; segments() merges them.
     """
 
     def __init__(self, now: float, free_now: float, deltas: dict[float, float]):
@@ -102,42 +106,40 @@ class CapacityProfile:
                 return True
 
     def earliest_fit(self, cpus: int, duration: float, ready: float) -> Optional[float]:
-        cand = max(ready, self.times[0])
+        times, free = self.times, self.free
+        n = len(times)
+        cand = max(ready, times[0])
+        i = self._seg_index(cand)
         while True:
-            i = self._seg_index(cand)
             end = cand + duration
             j = i
-            feasible = True
-            while True:
-                if self.free[j] < cpus:
-                    feasible = False
-                    break
+            while free[j] >= cpus:
                 j += 1
-                if j >= len(self.times) or self.times[j] >= end:
-                    break
-            if feasible:
-                return cand
-            # restart after the violating segment
-            if j + 1 >= len(self.times):
+                if j >= n or times[j] >= end:
+                    return cand
+            # restart after the violating step
+            i = j + 1
+            if i >= n:
                 return None  # blocked by capacity that never releases in-profile
-            cand = self.times[j + 1]
+            cand = times[i]
 
     def reserve(self, start: float, duration: float, cpus: int) -> None:
         end = start + duration
-        self._split(start)
-        self._split(end)
-        for i in range(len(self.times)):
-            if start <= self.times[i] < end:
-                self.free[i] -= cpus
+        i = self._split(start)
+        free = self.free
+        for k in range(i, self._split(end)):
+            free[k] -= cpus
 
-    def _split(self, t: float) -> None:
-        if t <= self.times[0] or math.isinf(t):
-            return
-        i = bisect.bisect_left(self.times, t)
-        if i < len(self.times) and self.times[i] == t:
-            return
-        self.times.insert(i, t)
+    def _split(self, t: float) -> int:
+        """Make t a step time, unless it is at or before now or infinite,
+        and return the index of the first step at or after t."""
+        times = self.times
+        i = bisect.bisect_left(times, t)
+        if i == 0 or (i < len(times) and times[i] == t) or math.isinf(t):
+            return i
+        times.insert(i, t)
         self.free.insert(i, self.free[i - 1])
+        return i
 
     def segments(self) -> list[tuple[float, float, float]]:
         """Maximal constant-level (start, end, free) runs; the last end is inf."""
@@ -319,7 +321,7 @@ class GapPolicy(Policy):
         starts: list[Job] = []
         self.last_placements = {}
         for job in _submit_order(view.queue):
-            placed = self._place(profile, job, view.now)
+            placed = self._place(profile, job)
             if placed is None:
                 continue
             profile.reserve(placed, job.runtime_estimate, job.cpus)
@@ -328,21 +330,37 @@ class GapPolicy(Policy):
                 starts.append(job)
         return starts
 
-    def _place(self, profile: CapacityProfile, job: Job, now: float) -> Optional[float]:
-        best_key = None
+    def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
+        """Start of the chosen gap, in one pass over the profile's steps.
+
+        A gap is a run of steps at one level, the same maximal runs that
+        segments() yields; it starts at a step time, so never before now.
+        """
+        times, free = profile.times, profile.free
+        cpus, estimate = job.cpus, job.runtime_estimate
+        n = len(times)
         best_start = None
-        for t0, t1, level in profile.segments():
-            start = max(t0, now)
-            if start >= t1 or level < job.cpus:
+        best_cpus = best_len = math.inf
+        i = 0
+        while i < n:
+            level = free[i]
+            if level < cpus:
+                i += 1
                 continue
-            length = t1 - start
-            if length < job.runtime_estimate:
+            start = times[i]
+            i += 1
+            while i < n and free[i] == level:
+                i += 1
+            length = (times[i] if i < n else math.inf) - start
+            if length < estimate:
                 continue
             if not self.best:
                 return start
-            key = (level - job.cpus, length - job.runtime_estimate, start)
-            if best_key is None or key < best_key:
-                best_key, best_start = key, start
+            # key (cpus slack, duration slack, start); starts only grow, so
+            # an equal slack pair never displaces the earlier gap
+            slack_cpus, slack_len = level - cpus, length - estimate
+            if slack_cpus < best_cpus or (slack_cpus == best_cpus and slack_len < best_len):
+                best_start, best_cpus, best_len = start, slack_cpus, slack_len
         return best_start
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -35,6 +36,11 @@ class Job:
     deadline: Optional[float] = None
 
     def __post_init__(self):
+        # one test covers all four: inf and nan survive a sum, and nan
+        # would slip through every comparison below
+        times = self.submit_time + self.runtime + self.runtime_estimate
+        if not math.isfinite(times + (self.deadline or 0.0)):
+            raise ValueError(f"job {self.job_id}: times must be finite numbers")
         if self.runtime <= 0:
             raise ValueError(f"job {self.job_id}: runtime must be > 0")
         if self.runtime_estimate <= 0:
@@ -148,6 +154,8 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
             vals = [float(f) for f in fields]
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric field") from None
+        if not math.isfinite(sum(vals)):
+            raise ParseError(f"line {lineno}: non-finite field")
         runtime = vals[3]
         alloc = int(vals[4])
         requested = int(vals[7])
@@ -213,6 +221,9 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
             )
         except (TypeError, ValueError):
             raise ParseError(f"line {lineno}: non-numeric field") from None
+        times = rec["submit_time"] + runtime + rec["runtime_estimate"]
+        if not math.isfinite(times + (rec["deadline"] or 0.0)):
+            raise ParseError(f"line {lineno}: non-finite field")
         if job_id in seen:
             raise ParseError(f"line {lineno}: duplicate id {job_id}")
         seen.add(job_id)

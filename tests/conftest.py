@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -104,6 +105,32 @@ def weekly_workload() -> Workload:
         seed=3,
     )
     return wl
+
+
+def backlog_workload() -> Workload:
+    """Two periodic users plus background squeezed into 09:00-13:00 (259 jobs
+    over 4 days, about 80 % offered load on 16 cpus).
+
+    A deep queue builds every morning, so the planner policies see profiles
+    with many steps; `dl` makes only soft reservations here.
+    """
+    templates = (
+        SynthTemplate(user_id=1, cpus=4, runtime=3600, period=DAY / 2,
+                      offset=1800, count=8, submit_jitter=0.01),
+        SynthTemplate(user_id=2, cpus=8, runtime=7200, period=DAY,
+                      offset=30000, count=4),
+    )
+    wl, _ = synth_workload(
+        SynthSpec(horizon=4 * DAY, templates=templates, background_rate=60 / DAY),
+        seed=5,
+    )
+    jobs = []
+    for j in wl.jobs:
+        if j.user_id >= 1000:  # background users
+            day, frac = divmod(j.submit_time / DAY, 1.0)
+            j = dataclasses.replace(j, submit_time=day * DAY + (9 + 4 * frac) * 3600)
+        jobs.append(j)
+    return make_workload(*jobs)
 
 
 def enumerate_instances(max_jobs: int = 5):

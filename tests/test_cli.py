@@ -75,6 +75,12 @@ class TestAnalyze:
         assert rc == 2
         assert "/no/such/file.swf" in capsys.readouterr().err
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        rc = main(["analyze", "--workload", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_constant_series_exit_1(self, tmp_path, capsys):
         path = tmp_path / "flat.swf"
         path.write_text(swf_text([100.0 * i for i in range(64)]))

@@ -3,7 +3,8 @@
 `data/dl_fingerprints.json` stores the sha256 of the trace CSV and of the
 feedback CSV of a few small `dl` runs, and under "policies" the sha256 of
 the trace CSV of each of the other ten policies on the lifecycle and weekly
-workloads.  A refactor of the engine, the planners, the miner or the
+workloads and of the four planner policies on the deep-queue backlog
+workload.  A refactor of the engine, the planners, the miner or the
 confidence scoring must leave every byte unchanged.  When behaviour is
 meant to change, re-record with
 
@@ -31,7 +32,7 @@ from predictsched import (
     trace_to_csv,
 )
 
-from conftest import lifecycle_workload, weekly_workload
+from conftest import backlog_workload, lifecycle_workload, weekly_workload
 
 DATA = Path(__file__).parent / "data" / "dl_fingerprints.json"
 CLUSTER = ClusterConfig(16)
@@ -42,13 +43,24 @@ SCENARIOS = {
     "lifecycle": (lifecycle_workload, True, ThresholdState(0.2, 0.6, min_gap=0.05)),
     "weekly": (weekly_workload, True, ThresholdState(0.05, 0.1, min_gap=0.05)),
     "weekly-pooled": (weekly_workload, False, ThresholdState(0.05, 0.1, min_gap=0.05)),
+    "backlog": (backlog_workload, True, ThresholdState()),
 }
 
-# the ten policies that run without a forecaster, on the two workloads
-POLICY_SCENARIOS = {"lifecycle": lifecycle_workload, "weekly": weekly_workload}
+# the ten policies that run without a forecaster on the two light workloads,
+# and the planner policies on the deep queue, where profiles have many steps
 PLAIN_POLICIES = tuple(
     k.value for k in PolicyKind if k is not PolicyKind.DL_PREDICTIVE
 )
+POLICY_SCENARIOS = {
+    "lifecycle": (lifecycle_workload, PLAIN_POLICIES),
+    "weekly": (weekly_workload, PLAIN_POLICIES),
+    "backlog": (backlog_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
+}
+POLICY_CASES = [
+    (name, token)
+    for name, (_build, tokens) in sorted(POLICY_SCENARIOS.items())
+    for token in tokens
+]
 
 
 def _sha(text: str) -> str:
@@ -69,7 +81,7 @@ def fingerprint(name: str) -> dict[str, str]:
 
 
 def policy_fingerprint(name: str, token: str) -> str:
-    return _sha(trace_to_csv(run(POLICY_SCENARIOS[name](), CLUSTER, token)))
+    return _sha(trace_to_csv(run(POLICY_SCENARIOS[name][0](), CLUSTER, token)))
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -78,8 +90,7 @@ def test_dl_fingerprint_unchanged(name):
     assert fingerprint(name) == expected
 
 
-@pytest.mark.parametrize("token", PLAIN_POLICIES)
-@pytest.mark.parametrize("name", sorted(POLICY_SCENARIOS))
+@pytest.mark.parametrize("name, token", POLICY_CASES)
 def test_policy_fingerprint_unchanged(name, token):
     expected = json.loads(DATA.read_text())["policies"][name][token]
     assert policy_fingerprint(name, token) == expected
@@ -90,7 +101,7 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     record = {name: fingerprint(name) for name in sorted(SCENARIOS)}
     record["policies"] = {
-        name: {token: policy_fingerprint(name, token) for token in PLAIN_POLICIES}
-        for name in sorted(POLICY_SCENARIOS)
+        name: {token: policy_fingerprint(name, token) for token in tokens}
+        for name, (_build, tokens) in sorted(POLICY_SCENARIOS.items())
     }
     DATA.write_text(json.dumps(record, indent=2) + "\n")

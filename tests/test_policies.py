@@ -1,4 +1,8 @@
+import bisect
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predictsched import (
     ClusterConfig,
@@ -277,3 +281,127 @@ class TestExhaustiveSmallInstances:
                 assert starts[head_id] <= first_shadow
             checked += 1
         assert checked > 5000
+
+
+class RefProfile(CapacityProfile):
+    """Plain reference loops for the planner: earliest_fit re-bisects after
+    every violating step and reserve scans the whole profile."""
+
+    def earliest_fit(self, cpus, duration, ready):
+        cand = max(ready, self.times[0])
+        while True:
+            i = bisect.bisect_right(self.times, cand) - 1
+            end = cand + duration
+            j = i
+            feasible = True
+            while True:
+                if self.free[j] < cpus:
+                    feasible = False
+                    break
+                j += 1
+                if j >= len(self.times) or self.times[j] >= end:
+                    break
+            if feasible:
+                return cand
+            if j + 1 >= len(self.times):
+                return None
+            cand = self.times[j + 1]
+
+    def reserve(self, start, duration, cpus):
+        end = start + duration
+        for t in (start, end):
+            if t <= self.times[0] or math.isinf(t):
+                continue
+            i = bisect.bisect_left(self.times, t)
+            if i < len(self.times) and self.times[i] == t:
+                continue
+            self.times.insert(i, t)
+            self.free.insert(i, self.free[i - 1])
+        for i in range(len(self.times)):
+            if start <= self.times[i] < end:
+                self.free[i] -= cpus
+
+
+def ref_place(profile, job, now, best):
+    """Gap placement over a freshly built segments() list."""
+    best_key = None
+    best_start = None
+    for t0, t1, level in profile.segments():
+        start = max(t0, now)
+        if start >= t1 or level < job.cpus:
+            continue
+        length = t1 - start
+        if length < job.runtime_estimate:
+            continue
+        if not best:
+            return start
+        key = (level - job.cpus, length - job.runtime_estimate, start)
+        if best_key is None or key < best_key:
+            best_key, best_start = key, start
+    return best_start
+
+
+# small integer grids make equal times and equal levels common, so merged
+# runs, exact fits and ties all occur
+_times = st.integers(min_value=0, max_value=30).map(float)
+_cpus = st.integers(min_value=1, max_value=5)
+_durations = st.sampled_from([0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 40.0])
+_offsets = st.integers(min_value=0, max_value=60).map(lambda k: k / 2 - 3.0)
+
+
+@st.composite
+def planner_views(draw):
+    now = draw(st.sampled_from([0.0, 7.0, 10.5]))
+    total = draw(st.integers(min_value=4, max_value=12))
+    running = tuple(
+        (make_job(100 + k, 0, 1, cpus), 0.0, now + dt - 3.0)
+        for k, (cpus, dt) in enumerate(
+            draw(st.lists(st.tuples(_cpus, _times), max_size=6))
+        )
+    )
+    hard = tuple(
+        (now + a - 3.0, now + a - 3.0 + d, cpus)
+        for a, d, cpus in draw(st.lists(st.tuples(_times, _durations, _cpus), max_size=3))
+    )
+    held = sum(c for ws, we, c in hard if ws <= now < we)
+    free = total - sum(job.cpus for job, _s, _f in running) - held
+    return view(now=now, total=total, free=free, running=running, hard=hard)
+
+
+# (kind, cpus, estimate, ready offset): kind chooses who places the job
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["cons", "esg", "best", "at"]), _cpus, _durations, _offsets
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestPlannerMatchesReference:
+    """The one-pass planner loops place, fit and carve exactly like the
+    segments()-based and full-scan reference on random profiles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(planner_views(), _steps)
+    def test_same_placements_and_profiles(self, v, steps):
+        fast = CapacityProfile.from_view(v)
+        ref = RefProfile.from_view(v)
+        gaps = {"esg": make_policy("esg"), "best": make_policy("best-gap")}
+        for n, (kind, cpus, estimate, offset) in enumerate(steps):
+            ready = v.now + offset  # may lie before now
+            assert fast.fits(ready, estimate, cpus) == ref.fits(ready, estimate, cpus)
+            want = ref.earliest_fit(cpus, estimate, ready)
+            assert fast.earliest_fit(cpus, estimate, ready) == want
+            if kind in gaps:
+                job = make_job(n + 1, 0, estimate, cpus)
+                want = ref_place(ref, job, v.now, best=kind == "best")
+                assert gaps[kind]._place(fast, job) == want
+            elif kind == "at":
+                want = ready  # carve regardless of fit, as a hard window does
+            if want is not None:
+                fast.reserve(want, estimate, cpus)
+                ref.reserve(want, estimate, cpus)
+            assert fast.times == ref.times
+            assert fast.free == ref.free
+            assert fast.segments() == ref.segments()

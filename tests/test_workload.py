@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from predictsched import (
@@ -82,6 +84,14 @@ class TestParseSwf:
         with pytest.raises(ParseError, match="line 1"):
             parse_swf(bad)
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", [1, 3, 4, 8, 11])  # submit, runtime, procs, time, user
+    def test_non_finite_reports_line(self, field, value):
+        fields = SWF_LINE.split()
+        fields[field] = value
+        with pytest.raises(ParseError, match="line 2: non-finite"):
+            parse_swf(SWF_LINE + "\n" + " ".join(fields))
+
 
 class TestParseCsv:
     HEADER = "job_id,user_id,group_id,submit_time,runtime,runtime_estimate,cpus"
@@ -112,6 +122,25 @@ class TestParseCsv:
         wl = parse_csv(text)
         assert wl.jobs[0].deadline == 5000
         assert wl.jobs[1].deadline is None
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("column", ["submit_time", "runtime", "runtime_estimate", "deadline"])
+    def test_non_finite_reports_line(self, column, value):
+        header = self.HEADER + ",deadline"
+        row = dict(zip(header.split(","), "1,7,2,0,300,600,4,5000".split(",")))
+        row[column] = value
+        text = header + "\n2,7,2,0,300,600,4,\n" + ",".join(row.values()) + "\n"
+        with pytest.raises(ParseError, match="line 3: non-finite"):
+            parse_csv(text)
+
+
+class TestJob:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["submit_time", "runtime", "runtime_estimate", "deadline"])
+    def test_non_finite_time_rejected(self, field, value):
+        job = make_job(1, 0, 10, 1, deadline=100)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(job, **{field: value})
 
 
 class TestRoundTrip:
