@@ -16,7 +16,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .workload import Job
 
@@ -39,6 +39,9 @@ class PolicyKind(enum.Enum):
 class SchedulerView:
     """Immutable snapshot handed to a policy at each scheduling point.
 
+    queue is never empty (the engine does not call a policy with nothing to
+    decide) and is in (submit_time, job_id) order.  running is in start
+    order, jobs started at the same instant in the order they started.
     free_cpus excludes running jobs and in-window hard reservation holds.
     hard_windows carries (start, end, cpus) for live hard reservations; a
     start at or before now means the hold is already counted in free_cpus.
@@ -153,10 +156,6 @@ class CapacityProfile:
         return out
 
 
-def _submit_order(queue: Sequence[Job]) -> list[Job]:
-    return sorted(queue, key=lambda j: (j.submit_time, j.job_id))
-
-
 class Policy:
     """Base: select() returns the queued jobs to start right now."""
 
@@ -167,15 +166,18 @@ class Policy:
 
 
 class OrderedQueuePolicy(Policy):
-    """Start jobs strictly in a sort order; stop at the first one that is blocked."""
+    """Start jobs strictly in a sort order; stop at the first one that is blocked.
 
-    def order_key(self, job: Job):
-        raise NotImplementedError
+    A subclass sets order_key(job); None keeps the view's queue order.
+    """
+
+    order_key = None
 
     def select(self, view: SchedulerView) -> list[Job]:
         free = view.free_cpus
         starts: list[Job] = []
-        for job in sorted(view.queue, key=self.order_key):
+        queue = view.queue
+        for job in queue if self.order_key is None else sorted(queue, key=self.order_key):
             if job.cpus > free:
                 break
             starts.append(job)
@@ -184,10 +186,8 @@ class OrderedQueuePolicy(Policy):
 
 
 class Fcfs(OrderedQueuePolicy):
+    # the view's queue is already in (submit_time, job_id) order
     name = "fcfs"
-
-    def order_key(self, job: Job):
-        return (job.submit_time, job.job_id)
 
 
 class Lcfs(OrderedQueuePolicy):
@@ -229,7 +229,7 @@ class FirstFit(Policy):
     def select(self, view: SchedulerView) -> list[Job]:
         free = view.free_cpus
         starts: list[Job] = []
-        for job in _submit_order(view.queue):
+        for job in view.queue:
             if job.cpus <= free:
                 starts.append(job)
                 free -= job.cpus
@@ -253,7 +253,7 @@ class ConservativeBackfill(Policy):
     def select(self, view: SchedulerView) -> list[Job]:
         profile = CapacityProfile.from_view(view)
         starts: list[Job] = []
-        for job in _submit_order(view.queue):
+        for job in view.queue:
             t = profile.earliest_fit(job.cpus, job.runtime_estimate, view.now)
             if t is None:
                 continue
@@ -278,7 +278,7 @@ class EasyBackfill(Policy):
 
     def select(self, view: SchedulerView) -> list[Job]:
         profile = CapacityProfile.from_view(view)
-        queue = _submit_order(view.queue)
+        queue = view.queue
         starts: list[Job] = []
         idx = 0
         while idx < len(queue):
@@ -310,6 +310,9 @@ class GapPolicy(Policy):
     A gap is a maximal constant-capacity rectangle of the profile.  ESG
     takes the earliest gap wide and long enough; BestGap minimizes leftover
     (cpus slack, then duration slack), earliest among equals.
+    last_placements maps each job placed at the last call to its gap start;
+    the engine makes no call when the queue is empty, so it keeps the last
+    non-empty plan.
     """
 
     def __init__(self, best: bool):
@@ -320,7 +323,7 @@ class GapPolicy(Policy):
         profile = CapacityProfile.from_view(view)
         starts: list[Job] = []
         self.last_placements = {}
-        for job in _submit_order(view.queue):
+        for job in view.queue:
             placed = self._place(profile, job)
             if placed is None:
                 continue

@@ -121,12 +121,14 @@ class ClusterState:
     it the moment it ends; Telemetry.reservations keeps the full history.
     Hard HELD reservations are subtracted from free_cpus; soft ones are
     counted apart (the engine's soft_held) because they yield to real jobs.
-    queue holds the waiting jobs keyed by job id.
+    queue holds the waiting jobs keyed by job id, in (submit_time, job_id)
+    order; running maps job id to the view's row (job, start, estimated
+    finish), in start order.
     """
 
     total_cpus: int
     free_cpus: int
-    running: dict[int, tuple[float, int]] = field(default_factory=dict)
+    running: dict[int, tuple[Job, float, float]] = field(default_factory=dict)
     active_reservations: dict[int, Reservation] = field(default_factory=dict)
     queue: dict[int, Job] = field(default_factory=dict)
 
@@ -172,12 +174,13 @@ def match_arrival(
 
     Candidates must match the predicted user (when patterns are per-user)
     and requirements within the similarity tolerances, with the submit time
-    inside the reservation's match window.  The nearest window center wins;
-    ties go to the older reservation.
+    inside the reservation's match window.  The nearest window center wins.
+    active_reservations must come in res_id order, as the engine's live
+    book does; a tie goes to the earlier one in that order.
     """
     best: Optional[Reservation] = None
     best_d = 0.0
-    for res in sorted(active_reservations, key=lambda r: r.res_id):
+    for res in active_reservations:
         if not res.live:
             continue
         p = res.prediction
@@ -219,7 +222,6 @@ class _Engine:
         self.events: list[tuple[float, int, int, object]] = []
         self.seq = 0
         self.submitted: list[Job] = []
-        self._jobs: dict[int, Job] = {j.job_id: j for j in workload}
         self.starts: dict[int, float] = {}
         self.finishes: dict[int, float] = {}
         self.thresholds = forecaster.thresholds if forecaster else ThresholdState()
@@ -290,7 +292,7 @@ class _Engine:
     # -- capacity helpers ------------------------------------------------
 
     def _check_accounting(self) -> None:
-        running = sum(c for _s, c in self.state.running.values())
+        running = sum(job.cpus for job, _s, _e in self.state.running.values())
         hard = soft = 0
         for r in self.state.active_reservations.values():
             if r.state is _HELD:
@@ -355,13 +357,16 @@ class _Engine:
                 f"start of job {job.job_id} exceeds capacity "
                 f"({job.cpus} > {self.state.free_cpus} free)"
             )
+        finish = self.now + job.runtime
+        if finish == self.now:
+            raise SimulationError(f"job {job.job_id}: runtime vanishes at start t={self.now}")
         while job.cpus > self.state.free_cpus - self.soft_held:
             self._cancel_youngest_soft()
         self.state.queue.pop(job.job_id, None)
         self.state.free_cpus -= job.cpus
-        self.state.running[job.job_id] = (self.now, job.cpus)
+        self.state.running[job.job_id] = (job, self.now, self.now + job.runtime_estimate)
         self.starts[job.job_id] = self.now
-        self._push(self.now + job.runtime, _FINISH, job)
+        self._push(finish, _FINISH, job)
 
     # -- event handlers ---------------------------------------------------
 
@@ -381,8 +386,8 @@ class _Engine:
         self._policy_pending = True
 
     def _on_finish(self, job: Job) -> None:
-        _start, cpus = self.state.running.pop(job.job_id)
-        self.state.free_cpus += cpus
+        del self.state.running[job.job_id]
+        self.state.free_cpus += job.cpus
         self.finishes[job.job_id] = self.now
         self.unfinished -= 1
         self._policy_pending = True
@@ -485,11 +490,10 @@ class _Engine:
         """
         points = {ws}
         loads: list[tuple[float, float, int]] = []
-        for job_id, (start, c) in self.state.running.items():
-            job = self._jobs[job_id]
-            fin = max(start + job.runtime_estimate, self.now)
+        for job, _start, est_finish in self.state.running.values():
+            fin = max(est_finish, self.now)
             if fin > ws:
-                loads.append((ws, fin, c))
+                loads.append((ws, fin, job.cpus))
         for res in self.state.active_reservations.values():
             if res.holds_capacity:
                 if res.window_end > ws and res.window_start < we:
@@ -508,44 +512,34 @@ class _Engine:
     # -- policy dispatch ----------------------------------------------------
 
     def _invoke_policy(self) -> None:
+        # the queue and the running rows are kept in the view's order, so
+        # the view is two tuple copies; an empty queue has nothing to decide
+        state = self.state
+        if not state.queue:
+            return
         view = SchedulerView(
             now=self.now,
-            total_cpus=self.state.total_cpus,
-            free_cpus=self.state.free_cpus,
-            queue=tuple(
-                sorted(
-                    self.state.queue.values(),
-                    key=lambda j: (j.submit_time, j.job_id),
-                )
-            ),
-            running=self._running_view(),
-            hard_windows=self._hard_windows(),
+            total_cpus=state.total_cpus,
+            free_cpus=state.free_cpus,
+            queue=tuple(state.queue.values()),
+            running=tuple(state.running.values()),
+            hard_windows=self._hard_windows() if self.fc is not None else (),
         )
-        starts = self.policy.select(view)
-        for job in starts:
-            if job.job_id not in self.state.queue:
+        for job in self.policy.select(view):
+            if job.job_id not in state.queue:
                 raise SimulationError(
                     f"policy {self.policy.name} started job {job.job_id} "
                     "which is not queued"
                 )
             self._start_job(job)
 
-    def _running_view(self):
-        rows = []
-        for job_id, (start, _cpus) in self.state.running.items():
-            job = self._jobs[job_id]
-            rows.append((job, start, start + job.runtime_estimate))
-        rows.sort(key=lambda r: (r[1], r[0].job_id))
-        return tuple(rows)
-
     def _hard_windows(self):
         rows = []
         for res in self.state.active_reservations.values():
-            if res.hard:
+            if res.decision is Decision.HARD_RESERVE:
                 start = self.now if res.state is _HELD else res.window_start
                 rows.append((start, res.window_end, res.cpus))
-        rows.sort()
-        return tuple(rows)
+        return tuple(sorted(rows))
 
 
 def run(

@@ -45,6 +45,10 @@ class Job:
             raise ValueError(f"job {self.job_id}: runtime must be > 0")
         if self.runtime_estimate <= 0:
             raise ValueError(f"job {self.job_id}: runtime_estimate must be > 0")
+        t = self.submit_time  # far from 0 a short duration rounds away
+        if t + self.runtime == t or t + self.runtime_estimate == t:
+            raise ValueError(f"job {self.job_id}: runtime and estimate must not "
+                             f"vanish at submit_time {t}")
         if self.cpus < 1:
             raise ValueError(f"job {self.job_id}: cpus must be >= 1")
         if self.submit_time < 0:
@@ -105,22 +109,22 @@ def _sorted_jobs(jobs: Iterable[Job]) -> tuple[Job, ...]:
     return tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id)))
 
 
-def _shift_to_zero(raw: list[dict]) -> None:
-    if not raw:
-        return
-    t0 = min(r["submit_time"] for r in raw)
-    for r in raw:
-        r["submit_time"] -= t0
-        if r.get("deadline") is not None:
-            r["deadline"] -= t0
-
-
-def _build_workload(raw: list[dict], source: str, dropped: int) -> Workload:
+def _build_workload(raw: list[tuple[int, dict]], source: str, dropped: int) -> Workload:
+    """Jobs from (line number, Job fields) records, shifted so the earliest
+    submit is at 0; a record Job rejects becomes a ParseError naming its line."""
     if not raw:
         raise ParseError("empty workload")
-    _shift_to_zero(raw)
-    jobs = _sorted_jobs(Job(**r) for r in raw)
-    return Workload(jobs=jobs, source_name=source, dropped=dropped)
+    t0 = min(r["submit_time"] for _lineno, r in raw)
+    jobs = []
+    for lineno, r in raw:
+        r["submit_time"] -= t0
+        if r["deadline"] is not None:
+            r["deadline"] -= t0
+        try:
+            jobs.append(Job(**r))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return Workload(jobs=_sorted_jobs(jobs), source_name=source, dropped=dropped)
 
 
 # SWF data lines: 18 whitespace-separated fields.
@@ -129,6 +133,8 @@ def _build_workload(raw: list[dict], source: str, dropped: int) -> Workload:
 # 11 status, 12 user id, 13 group id, 14 executable, 15 queue,
 # 16 partition, 17 preceding job, 18 think time.
 _SWF_FIELDS = 18
+_SWF_INT_NAMES = ("job id", "allocated processors", "requested processors",
+                  "user id", "group id")
 
 
 def parse_swf(text: str, source_name: str = "swf") -> Workload:
@@ -137,9 +143,10 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
     Requested processors take precedence over allocated ones; the requested
     wall time becomes the runtime estimate when present, falling back to the
     actual runtime.  Records with nonpositive runtime or processor count are
-    dropped (the count is kept on the result).
+    dropped (the count is kept on the result); a fractional id or processor
+    count is a ParseError.
     """
-    raw: list[dict] = []
+    raw: list[tuple[int, dict]] = []
     dropped = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -156,26 +163,22 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
             raise ParseError(f"line {lineno}: non-numeric field") from None
         if not math.isfinite(sum(vals)):
             raise ParseError(f"line {lineno}: non-finite field")
+        given = (vals[0], vals[4], vals[7], vals[11], vals[12])
+        job_id, alloc, requested, user_id, group_id = ints = tuple(map(int, given))
+        if ints != given:
+            name, value = next((n, g) for n, i, g in zip(_SWF_INT_NAMES, ints, given) if i != g)
+            raise ParseError(f"line {lineno}: {name} must be an integer, got {value!r}")
         runtime = vals[3]
-        alloc = int(vals[4])
-        requested = int(vals[7])
         cpus = requested if requested > 0 else alloc
         if runtime <= 0 or cpus <= 0:
             dropped += 1
             continue
         req_time = vals[8]
-        raw.append(
-            dict(
-                job_id=int(vals[0]),
-                user_id=int(vals[11]),
-                group_id=int(vals[12]),
-                submit_time=vals[1],
-                runtime=runtime,
-                runtime_estimate=req_time if req_time > 0 else runtime,
-                cpus=cpus,
-                deadline=None,
-            )
-        )
+        raw.append((lineno, dict(
+            job_id=job_id, user_id=user_id, group_id=group_id, submit_time=vals[1],
+            runtime=runtime, runtime_estimate=req_time if req_time > 0 else runtime,
+            cpus=cpus, deadline=None,
+        )))
     return _build_workload(raw, source_name, dropped)
 
 
@@ -199,7 +202,7 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
         if col not in reader.fieldnames:
             raise ParseError(f"missing column '{col}'")
     has_deadline = "deadline" in reader.fieldnames
-    raw: list[dict] = []
+    raw: list[tuple[int, dict]] = []
     dropped = 0
     seen: set[int] = set()
     for lineno, row in enumerate(reader, start=2):
@@ -230,7 +233,7 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
         if runtime <= 0 or cpus <= 0:
             dropped += 1
             continue
-        raw.append(rec)
+        raw.append((lineno, rec))
     return _build_workload(raw, source_name, dropped)
 
 

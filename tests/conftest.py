@@ -133,6 +133,15 @@ def backlog_workload() -> Workload:
     return make_workload(*jobs)
 
 
+def overestimate_workload() -> Workload:
+    """The backlog mix with every estimate 3x the runtime: each job finishes
+    early, so the plan made at one event is stale at the next."""
+    return make_workload(
+        *(dataclasses.replace(j, runtime_estimate=3 * j.runtime)
+          for j in backlog_workload().jobs)
+    )
+
+
 def enumerate_instances(max_jobs: int = 5):
     """Every small workload used by the backfilling correctness gate.
 

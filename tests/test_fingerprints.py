@@ -4,8 +4,9 @@
 feedback CSV of a few small `dl` runs, and under "policies" the sha256 of
 the trace CSV of each of the other ten policies on the lifecycle and weekly
 workloads and of the four planner policies on the deep-queue backlog
-workload.  A refactor of the engine, the planners, the miner or the
-confidence scoring must leave every byte unchanged.  When behaviour is
+workload and on its overestimated twin, where every finish comes early.
+A refactor of the engine, the planners, the miner or the confidence
+scoring must leave every byte unchanged.  When behaviour is
 meant to change, re-record with
 
     PYTHONPATH=src python tests/test_fingerprints.py --record
@@ -32,7 +33,12 @@ from predictsched import (
     trace_to_csv,
 )
 
-from conftest import backlog_workload, lifecycle_workload, weekly_workload
+from conftest import (
+    backlog_workload,
+    lifecycle_workload,
+    overestimate_workload,
+    weekly_workload,
+)
 
 DATA = Path(__file__).parent / "data" / "dl_fingerprints.json"
 CLUSTER = ClusterConfig(16)
@@ -44,6 +50,7 @@ SCENARIOS = {
     "weekly": (weekly_workload, True, ThresholdState(0.05, 0.1, min_gap=0.05)),
     "weekly-pooled": (weekly_workload, False, ThresholdState(0.05, 0.1, min_gap=0.05)),
     "backlog": (backlog_workload, True, ThresholdState()),
+    "overestimate": (overestimate_workload, True, ThresholdState()),
 }
 
 # the ten policies that run without a forecaster on the two light workloads,
@@ -55,6 +62,7 @@ POLICY_SCENARIOS = {
     "lifecycle": (lifecycle_workload, PLAIN_POLICIES),
     "weekly": (weekly_workload, PLAIN_POLICIES),
     "backlog": (backlog_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
+    "overestimate": (overestimate_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
 }
 POLICY_CASES = [
     (name, token)

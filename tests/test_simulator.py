@@ -4,6 +4,7 @@ from predictsched import (
     ClusterConfig,
     Decision,
     ForecasterConfig,
+    PolicyKind,
     PredictedJob,
     SimilarityParams,
     SimulationError,
@@ -20,6 +21,7 @@ from predictsched.policies import Policy
 from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
 
 from conftest import (
+    backlog_workload,
     capacity_breaches,
     enumerate_instances,
     lifecycle_workload,
@@ -139,6 +141,12 @@ class TestEngineGuards:
         with pytest.raises(SimulationError, match="not queued"):
             run(wl, ClusterConfig(2), RoguePolicy("phantom"))
 
+    def test_runtime_vanishing_at_start_is_fatal(self):
+        # job 2 waits until t = 2**53, where adding 1 s rounds back to t
+        wl = make_workload(make_job(1, 0, 2.0**53, 1), make_job(2, 0, 1, 1))
+        with pytest.raises(SimulationError, match="job 2: runtime vanishes at start"):
+            run(wl, ClusterConfig(1), "fcfs")
+
 
 class TestMatchArrival:
     def make_res(self, res_id, predicted, width=21600.0, cpus=4, runtime=3600.0, user=1):
@@ -175,6 +183,12 @@ class TestMatchArrival:
         b = self.make_res(1, 270000.0)
         job = make_job(1, 268000.0, 3600, 4, user=1)
         assert match_arrival(job, [a, b], SimilarityParams()) is b
+
+    @pytest.mark.parametrize("offsets", [(0.0, 0.0), (-100.0, 100.0), (100.0, -100.0)])
+    def test_tie_goes_to_earlier_reservation(self, offsets):
+        a, b = (self.make_res(i, 259200.0 + d) for i, d in enumerate(offsets))
+        job = make_job(1, 259200.0, 3600, 4, user=1)
+        assert match_arrival(job, [a, b], SimilarityParams()) is a
 
     def test_requirements_must_match(self):
         res = self.make_res(0, 259200.0)
@@ -337,6 +351,60 @@ class TestLiveBook:
             ResState.CONSUMED, ResState.EXPIRED, ResState.CANCELLED
         }
         assert any(r.hard for r in history)
+
+
+class RecordingPolicy(Policy):
+    """Passes every view through to a real policy and keeps it, with the
+    jobs that call started."""
+
+    def __init__(self, inner: Policy):
+        self.inner = inner
+        self.name = inner.name
+        self.calls: list[tuple] = []
+
+    def select(self, view):
+        starts = self.inner.select(view)
+        self.calls.append((view, starts))
+        return starts
+
+
+class TestSchedulerViewContract:
+    @pytest.mark.parametrize(
+        "build", [lifecycle_workload, weekly_workload, backlog_workload]
+    )
+    def test_views_match_the_trace(self, build):
+        wl = build()
+        jobs = {j.job_id: j for j in wl}
+        fc = ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
+        for kind in PolicyKind:
+            policy = RecordingPolicy(make_policy(kind))
+            forecaster = fc if kind is PolicyKind.DL_PREDICTIVE else None
+            trace = run(wl, ClusterConfig(16), policy, forecaster)
+            # start sequence: at one instant, jobs matched to a reservation
+            # on submit (in submit order) start before those a policy starts
+            rank = {}
+            for _view, starts in policy.calls:
+                rank.update((job.job_id, len(rank)) for job in starts)
+            for view, starts in policy.calls:
+                now = view.now
+                assert view.queue, kind
+                keys = [(j.submit_time, j.job_id) for j in view.queue]
+                assert keys == sorted(keys), kind
+                started_now = {j.job_id for j in starts}
+                assert {j.job_id for j in view.queue} == {
+                    r.job_id for r in trace.records
+                    if r.submit <= now < r.start or r.job_id in started_now
+                }, kind
+                running = sorted(
+                    (r for r in trace.records
+                     if r.start <= now < r.finish and r.job_id not in started_now),
+                    key=lambda r: (r.start, rank.get(r.job_id, -1), r.job_id),
+                )
+                assert view.running == tuple(
+                    (jobs[r.job_id], r.start, r.start + jobs[r.job_id].runtime_estimate)
+                    for r in running
+                ), kind
+            assert policy.calls, kind
 
 
 class TestNoLookahead:

@@ -92,6 +92,28 @@ class TestParseSwf:
         with pytest.raises(ParseError, match="line 2: non-finite"):
             parse_swf(SWF_LINE + "\n" + " ".join(fields))
 
+    @pytest.mark.parametrize(
+        "field, name",
+        [(0, "job id"), (4, "allocated processors"), (7, "requested processors"),
+         (11, "user id"), (12, "group id")],
+    )
+    def test_fractional_integer_field_reports_line(self, field, name):
+        fields = SWF_LINE.split()
+        fields[field] = "2.5"
+        with pytest.raises(ParseError, match=f"line 2: {name} must be an integer, got 2.5"):
+            parse_swf(SWF_LINE + "\n" + " ".join(fields))
+
+    def test_integral_float_fields_accepted(self):
+        wl = parse_swf("1.0 0 5 300 4.0 -1 -1 4.0 600 -1 1 7.0 2.0 -1 -1 -1 -1 -1")
+        job = wl.jobs[0]
+        assert (job.job_id, job.cpus, job.user_id, job.group_id) == (1, 4, 7, 2)
+
+    @pytest.mark.parametrize("req_time", [-1, 1])  # the estimate falls back to runtime
+    def test_far_future_runtime_reports_line(self, req_time):
+        text = swf_line(1, 0, 300, 4, 4, 600) + "\n" + swf_line(2, "1e17", 1, 4, 4, req_time)
+        with pytest.raises(ParseError, match="line 2: job 2: .* vanish"):
+            parse_swf(text)
+
 
 class TestParseCsv:
     HEADER = "job_id,user_id,group_id,submit_time,runtime,runtime_estimate,cpus"
@@ -133,6 +155,12 @@ class TestParseCsv:
         with pytest.raises(ParseError, match="line 3: non-finite"):
             parse_csv(text)
 
+    @pytest.mark.parametrize("runtime, estimate", [(1, 600), (600, 1)])
+    def test_far_future_runtime_reports_line(self, runtime, estimate):
+        text = self.HEADER + f"\n1,7,2,0,300,600,4\n2,7,2,1e17,{runtime},{estimate},4\n"
+        with pytest.raises(ParseError, match="line 3: job 2: .* vanish"):
+            parse_csv(text)
+
 
 class TestJob:
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
@@ -141,6 +169,13 @@ class TestJob:
         job = make_job(1, 0, 10, 1, deadline=100)
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(job, **{field: value})
+
+    @pytest.mark.parametrize("field", ["runtime", "runtime_estimate"])
+    def test_duration_vanishing_at_submit_rejected(self, field):
+        job = make_job(1, 1e17, 1e3, 1)
+        assert dataclasses.replace(job, **{field: 1e2}).submit_time == 1e17
+        with pytest.raises(ValueError, match="job 1: .* vanish at submit_time"):
+            dataclasses.replace(job, **{field: 1.0})
 
 
 class TestRoundTrip:
