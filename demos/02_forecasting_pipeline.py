@@ -19,7 +19,7 @@ from predictsched import (
     predictions_to_csv,
     prolong,
 )
-from predictsched.confidence import group_for_pattern
+from predictsched.confidence import groups_by_pattern
 from predictsched.patterns import with_confidence
 from predictsched.workload import Job
 
@@ -70,10 +70,11 @@ for g in groups:
           f"(mean {g.mean_len:.2f}, std {g.std_len:.2f})")
 
 state = ThresholdState()  # borders 0.33 / 0.66, adaptive in a live run
+cohort_of = groups_by_pattern(groups)
 scored = []
 for pred in preds:
     pattern = next(p for p in patterns if p.pattern_id == pred.pattern_id)
-    cohort = group_for_pattern(groups, pred.pattern_id)
+    cohort = cohort_of[pred.pattern_id]
     c = confidence_factor(pattern.length + pred.steps_ahead, cohort)
     scored.append(with_confidence(pred, c))
 

@@ -22,6 +22,7 @@ from .confidence import (
     confidence_factor,
     feedback_to_csv,
     group_patterns,
+    groups_by_pattern,
 )
 from .hurst import hurst_exponent
 from .metrics import ORIENTATIONS, objectives
@@ -103,13 +104,14 @@ def cmd_forecast(args) -> int:
     patterns = mine_patterns(workload, params, max_layer=args.max_layer)
     now = args.now if args.now is not None else workload.jobs[-1].submit_time
     preds = prolong(patterns, now, args.horizon)
-    groups = group_patterns(patterns, req_params=params)
+    group_of = groups_by_pattern(group_patterns(patterns, req_params=params))
     by_id = {p.pattern_id: p for p in patterns}
     scored = []
     for pred in preds:
         pattern = by_id[pred.pattern_id]
-        group = next(g for g in groups if pred.pattern_id in g.member_pattern_ids)
-        conf = confidence_factor(pattern.length + pred.steps_ahead, group, args.mode)
+        conf = confidence_factor(
+            pattern.length + pred.steps_ahead, group_of[pred.pattern_id], args.mode
+        )
         scored.append(with_confidence(pred, conf))
     csv_text = predictions_to_csv(scored, patterns)
     if args.out:

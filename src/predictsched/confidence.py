@@ -10,6 +10,7 @@ borders during a run.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import io
@@ -18,7 +19,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .patterns import Pattern, PredictedJob, SimilarityParams, reqs_match
+from .patterns import Pattern, PredictedJob, SimilarityParams, _median, reqs_match
 
 MODES = ("survival", "pdf_normalized")
 _PERIOD_RATIO_TOL = 0.25
@@ -52,6 +53,37 @@ def _make_group(member_ids: Sequence[int], lengths: Sequence[int]) -> PatternGro
     )
 
 
+class _Cohort:
+    """A group being built: its members with sorted period, cpus and runtime
+    lists, whose medians _median reads with statistics.median's arithmetic."""
+
+    __slots__ = ("layer", "members", "periods", "cpus", "runtimes")
+
+    def __init__(self, p: Pattern):
+        self.layer = p.layer
+        self.members = [p]
+        self.periods = [p.period]
+        self.cpus = [p.rep_cpus]
+        self.runtimes = [p.rep_runtime]
+
+    def admits(self, p: Pattern, req_params: SimilarityParams) -> bool:
+        if self.layer != p.layer:
+            return False
+        med_period = _median(self.periods)
+        lo, hi = min(p.period, med_period), max(p.period, med_period)
+        if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
+            return False
+        return reqs_match(
+            p.rep_cpus, _median(self.cpus), p.rep_runtime, _median(self.runtimes), req_params
+        )
+
+    def add(self, p: Pattern) -> None:
+        self.members.append(p)
+        bisect.insort(self.periods, p.period)
+        bisect.insort(self.cpus, p.rep_cpus)
+        bisect.insort(self.runtimes, p.rep_runtime)
+
+
 def group_patterns(
     patterns: Sequence[Pattern],
     req_params: SimilarityParams = SimilarityParams(),
@@ -64,33 +96,23 @@ def group_patterns(
     order against group medians; cohorts never span layers (length
     statistics of chains and super-chains are not comparable).
     """
-    groups: list[list[Pattern]] = []
+    cohorts: list[_Cohort] = []
     for p in sorted(patterns, key=lambda q: q.pattern_id):
-        for members in groups:
-            if members[0].layer != p.layer:
-                continue
-            med_period = statistics.median(m.period for m in members)
-            lo, hi = min(p.period, med_period), max(p.period, med_period)
-            if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
-                continue
-            med_cpus = statistics.median(m.rep_cpus for m in members)
-            med_rt = statistics.median(m.rep_runtime for m in members)
-            if reqs_match(p.rep_cpus, med_cpus, p.rep_runtime, med_rt, req_params):
-                members.append(p)
+        for cohort in cohorts:
+            if cohort.admits(p, req_params):
+                cohort.add(p)
                 break
         else:
-            groups.append([p])
+            cohorts.append(_Cohort(p))
     return [
-        _make_group([m.pattern_id for m in members], [m.length for m in members])
-        for members in groups
+        _make_group([m.pattern_id for m in c.members], [m.length for m in c.members])
+        for c in cohorts
     ]
 
 
-def group_for_pattern(groups: Sequence[PatternGroup], pattern_id: int) -> PatternGroup:
-    for g in groups:
-        if pattern_id in g.member_pattern_ids:
-            return g
-    raise KeyError(f"pattern {pattern_id} is in no group")
+def groups_by_pattern(groups: Iterable[PatternGroup]) -> dict[int, PatternGroup]:
+    """Each member pattern id mapped to its group."""
+    return {pid: g for g in groups for pid in g.member_pattern_ids}
 
 
 def confidence_factor(

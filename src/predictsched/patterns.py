@@ -14,11 +14,14 @@ member of any later chain, which only grows forward in time).
 
 Mining is prefix-incremental.  A job's requirement cluster depends only on
 the jobs before it in (submit_time, job_id) order, so a `PatternMiner` fed
-a growing history batch by batch keeps its clusters, their running medians
-and each cluster's layer-1 chains, and re-chains only the clusters that
-gained jobs.  Its patterns equal `mine_patterns` over the whole history,
-ids included; `group_similar_jobs` and `mine_patterns` are one-batch runs
-of the same miner.
+a growing history batch by batch keeps its clusters and their running
+medians.  Layer-1 chaining is resumable too: an attempt that broke on a job
+already present ends the same way whatever comes later, so each cluster
+keeps its closed chains and the one attempt still waiting for jobs, and is
+fed only the jobs it gained.  Its patterns equal `mine_patterns` over the
+whole history, ids included.  `group_similar_jobs` and `mine_patterns` are
+one-batch runs of the same miner, and `detect_patterns` (every layer) is a
+one-batch run of the same chainer.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -106,17 +108,177 @@ def _median(ordered: list) -> float:
     return ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
 
 
+class _Chainer:
+    """Greedy layer-1 (or higher) chaining over members that grow at the end.
+
+    Members arrive in (submit_time, job_id) order, in one batch or in many.
+    `avail` holds the members that no chain has claimed and that no attempt
+    gave up on; `avail[0]` anchors the attempt in progress.  While `partner`
+    is 0 the attempt scans avail[next:] for the first member whose gap from
+    the anchor qualifies.  From then on its chain is the anchor plus
+    avail[partner:next], with sorted gaps, cpus and runtimes for the medians
+    and its occurrence rows, and it grows while the next member's gap from
+    the tail stays within the jitter bound of the median gap.
+
+    An attempt that breaks on a member already present ends the same way
+    whatever arrives later, so it is closed for good: its chain is claimed,
+    or its anchor is given up.  Only the attempt that ran out of members
+    waits, and feed() resumes it where it stopped.
+    """
+
+    __slots__ = ("params", "layer", "span_of", "start", "done", "avail",
+                 "partner", "next", "gaps", "cpus", "runtimes", "rows", "_chains")
+
+    def __init__(
+        self,
+        params: SimilarityParams,
+        layer: int = 1,
+        span_of: Optional[dict[int, float]] = None,
+        start_id: int = 0,
+    ):
+        self.params = params
+        self.layer = layer
+        self.span_of = span_of
+        self.start = start_id
+        self.done: list[Pattern] = []  # closed chains, numbered from start
+        self.avail: list[Job] = []
+        self._chains: Optional[list[Pattern]] = None  # patterns() until the next feed
+        self.partner = 0  # the attempt's partner index in avail, 0 while scanning
+        self.next = 1  # the next index of avail the attempt examines
+        # the attempt's chain, once it has a partner
+        self.gaps: list[float] = []
+        self.cpus: list[int] = []
+        self.runtimes: list[float] = []
+        self.rows: list[tuple[int, float]] = []
+
+    def feed(self, jobs: Sequence[Job]) -> None:
+        """Append members, none before the last one, and chain as far as they allow."""
+        self._chains = None
+        avail = self.avail
+        avail.extend(jobs)
+        n = len(avail)
+        jitter = self.params.period_jitter
+        span_of = self.span_of
+        while True:
+            k = self.next
+            if not self.partner:
+                if k >= n:
+                    return  # waiting for a partner
+                anchor = avail[0]
+                t0 = anchor.submit_time
+                # a partner's gap from the anchor exceeds 0 and the anchor's span
+                floor = 0.0 if span_of is None else max(0.0, span_of.get(anchor.job_id, 0.0))
+                while k < n and avail[k].submit_time - t0 <= floor:
+                    k += 1
+                self.next = k
+                if k == n:
+                    return
+                partner = avail[k]
+                self.partner = k
+                self.gaps = [partner.submit_time - t0]
+                self.cpus = sorted((anchor.cpus, partner.cpus))
+                self.runtimes = sorted((anchor.runtime, partner.runtime))
+                self.rows = [(anchor.job_id, t0), (partner.job_id, partner.submit_time)]
+                k += 1
+            gaps, cpus, runtimes, rows = self.gaps, self.cpus, self.runtimes, self.rows
+            tail = avail[k - 1]
+            while k < n:
+                job = avail[k]
+                gap = job.submit_time - tail.submit_time
+                med = _median(gaps)
+                if (
+                    gap <= 0
+                    or (span_of is not None and gap <= span_of.get(tail.job_id, 0.0))
+                    or abs(gap - med) > jitter * med
+                ):
+                    break
+                bisect.insort(gaps, gap)
+                bisect.insort(cpus, job.cpus)
+                bisect.insort(runtimes, job.runtime)
+                rows.append((job.job_id, job.submit_time))
+                tail = job
+                k += 1
+            self.next = k
+            if k == n:
+                return  # waiting for the next member
+            # the chain broke on avail[k]: claim it, or give up on its anchor
+            if len(rows) >= self.params.min_occurrences:
+                self.done.append(self._pattern(self.start + len(self.done)))
+                avail[:k] = avail[1 : self.partner]  # the anchor's skips stay
+            else:
+                del avail[0]
+            n = len(avail)
+            self.partner, self.next = 0, 1
+
+    def _pattern(self, pattern_id: int) -> Pattern:
+        """The attempt's chain as a Pattern."""
+        rows = tuple(self.rows)
+        return Pattern(
+            pattern_id=pattern_id,
+            layer=self.layer,
+            user_id=self.avail[0].user_id,
+            rep_cpus=int(self.cpus[(len(self.cpus) - 1) // 2]),  # median_low
+            rep_runtime=float(_median(self.runtimes)),
+            period=float(_median(self.gaps)),
+            occurrences=rows,
+            child_ids=tuple(i for i, _ in rows) if self.layer > 1 else (),
+        )
+
+    def patterns(self, start_id: int) -> list[Pattern]:
+        """The chains as if the input ended here, numbered from start_id.
+
+        The closed chains come first, then the waiting attempt closed as it
+        stands, then a one-batch chaining of the members it leaves (its
+        anchor's skips, or all but a given-up anchor).
+        """
+        if start_id != self.start:
+            # an earlier cluster's chain count changed: shift the ids
+            if self._chains is None:
+                self.done = _renumbered(self.done, start_id)
+            else:
+                self._chains = _renumbered(self._chains, start_id)
+                self.done = self._chains[: len(self.done)]
+            self.start = start_id
+        if self._chains is not None:
+            return self._chains
+        chains = list(self.done)
+        tail = self
+        while True:
+            if tail.partner and len(tail.rows) >= self.params.min_occurrences:
+                chains.append(tail._pattern(start_id + len(chains)))
+                rest = tail.avail[1 : tail.partner]
+            else:
+                rest = tail.avail[1:]
+            if len(rest) < 2:
+                break
+            tail = _Chainer(self.params, self.layer, self.span_of, start_id + len(chains))
+            tail.feed(rest)
+            chains.extend(tail.done)
+        self._chains = chains
+        return chains
+
+
+def _renumbered(patterns: list[Pattern], start_id: int) -> list[Pattern]:
+    return [replace(p, pattern_id=start_id + k) for k, p in enumerate(patterns)]
+
+
 class _Cluster:
     """One requirement cluster: members in submit order, sorted requirement
-    lists for the running medians, and the cached layer-1 chains."""
+    lists for the running medians, and the chaining state of its members.
 
-    __slots__ = ("members", "cpus", "runtimes", "chains")
+    `fed` counts the members handed to the chainer; the rest are the jobs
+    the cluster gained since the last chains() call.  The chainer is made
+    by the first call, so clustering alone (group_similar_jobs) makes none.
+    """
+
+    __slots__ = ("members", "cpus", "runtimes", "chainer", "fed")
 
     def __init__(self, job: Job):
         self.members = [job]
         self.cpus = [job.cpus]
         self.runtimes = [job.runtime]
-        self.chains: Optional[list[Pattern]] = None
+        self.chainer: Optional[_Chainer] = None
+        self.fed = 0
 
     def matches(self, job: Job, params: SimilarityParams) -> bool:
         return reqs_match(
@@ -127,7 +289,15 @@ class _Cluster:
         self.members.append(job)
         bisect.insort(self.cpus, job.cpus)
         bisect.insort(self.runtimes, job.runtime)
-        self.chains = None
+
+    def chains(self, start_id: int, params: SimilarityParams) -> list[Pattern]:
+        """The cluster's layer-1 chains, numbered from start_id."""
+        if self.chainer is None:
+            self.chainer = _Chainer(params)
+        if self.fed < len(self.members):
+            self.chainer.feed(self.members[self.fed :])
+            self.fed = len(self.members)
+        return self.chainer.patterns(start_id)
 
 
 class PatternMiner:
@@ -137,8 +307,9 @@ class PatternMiner:
     job_id) order they must not precede any job already added.  A job joins
     the first cluster of its user (of everyone, when not same_user) whose
     median cpus and runtime match it within tolerance, otherwise it opens a
-    new one.  patterns() re-chains only clusters that gained jobs since the
-    previous call.
+    new one.  patterns() hands each cluster's chainer only the jobs the
+    cluster gained since the previous call, so layer-1 chaining resumes
+    where it stopped; only the higher layers are built anew.
     """
 
     def __init__(self, params: SimilarityParams = SimilarityParams(), max_layer: int = 3):
@@ -176,18 +347,7 @@ class PatternMiner:
         """All layers, with the global ids mine_patterns assigns."""
         layer1: list[Pattern] = []
         for cluster in self._clusters():
-            offset = len(layer1)
-            if cluster.chains is None:
-                cluster.chains = detect_patterns(
-                    cluster.members, self.params, start_id=offset
-                )
-            elif cluster.chains and cluster.chains[0].pattern_id != offset:
-                # an earlier cluster's chain count changed: shift the ids
-                cluster.chains = [
-                    replace(p, pattern_id=offset + k)
-                    for k, p in enumerate(cluster.chains)
-                ]
-            layer1.extend(cluster.chains)
+            layer1.extend(cluster.chains(len(layer1), self.params))
         return build_layers(layer1, self.params, max_layer=self.max_layer)
 
 
@@ -219,64 +379,15 @@ def detect_patterns(
     start_id: int = 0,
     span_of: Optional[dict[int, float]] = None,
 ) -> list[Pattern]:
-    """Extract greedy periodic chains from one requirement cluster.
+    """Extract greedy periodic chains from one requirement cluster: a
+    one-batch run of the chainer PatternMiner resumes.
 
     span_of maps member job ids to a minimum gap (used by higher layers so a
     super-period always exceeds the child chains' spans).
     """
-    jobs = sorted(cluster, key=lambda j: (j.submit_time, j.job_id))
-    claimed: set[int] = set()
-    dead: set[int] = set()
-    patterns: list[Pattern] = []
-    next_id = start_id
-
-    def gap_ok(gap: float, tail: Job) -> bool:
-        if gap <= 0:
-            return False
-        if span_of is not None and gap <= span_of.get(tail.job_id, 0.0):
-            return False
-        return True
-
-    while True:
-        avail = [j for j in jobs if j.job_id not in claimed and j.job_id not in dead]
-        if len(avail) < 2:
-            break
-        anchor = avail[0]
-        partner_idx = next(
-            (i for i in range(1, len(avail))
-             if gap_ok(avail[i].submit_time - anchor.submit_time, anchor)),
-            None,
-        )
-        if partner_idx is None:
-            dead.add(anchor.job_id)
-            continue
-        chain = [anchor, avail[partner_idx]]
-        gaps = [avail[partner_idx].submit_time - anchor.submit_time]  # kept sorted
-        for j in avail[partner_idx + 1 :]:
-            gap = j.submit_time - chain[-1].submit_time
-            p_med = _median(gaps)
-            if not gap_ok(gap, chain[-1]) or abs(gap - p_med) > params.period_jitter * p_med:
-                break
-            chain.append(j)
-            bisect.insort(gaps, gap)
-        if len(chain) >= params.min_occurrences:
-            patterns.append(
-                Pattern(
-                    pattern_id=next_id,
-                    layer=layer,
-                    user_id=anchor.user_id,
-                    rep_cpus=int(statistics.median_low(j.cpus for j in chain)),
-                    rep_runtime=float(statistics.median(j.runtime for j in chain)),
-                    period=float(_median(gaps)),
-                    occurrences=tuple((j.job_id, j.submit_time) for j in chain),
-                    child_ids=tuple(j.job_id for j in chain) if layer > 1 else (),
-                )
-            )
-            next_id += 1
-            claimed.update(j.job_id for j in chain)
-        else:
-            dead.add(anchor.job_id)
-    return patterns
+    chainer = _Chainer(params, layer, span_of, start_id)
+    chainer.feed(sorted(cluster, key=lambda j: (j.submit_time, j.job_id)))
+    return chainer.patterns(start_id)
 
 
 def build_layers(

@@ -24,8 +24,8 @@ from .confidence import (
     ThresholdState,
     confidence_factor,
     decide,
-    group_for_pattern,
     group_patterns,
+    groups_by_pattern,
     update_thresholds,
 )
 from .patterns import (
@@ -424,19 +424,18 @@ class _Engine:
             if patterns:
                 preds = prolong(patterns, self.now, fc.horizon)
                 if preds:
-                    groups = group_patterns(patterns, fc.similarity)
+                    group_of = groups_by_pattern(group_patterns(patterns, fc.similarity))
                     by_id = {p.pattern_id: p for p in patterns}
                     for pred in preds:
-                        self._consider_prediction(pred, by_id, groups)
+                        self._consider_prediction(pred, by_id, group_of)
         if self.unfinished:
             self._push(self.now + fc.tick, _FORECAST, None)
 
-    def _consider_prediction(self, pred: PredictedJob, by_id, groups) -> None:
+    def _consider_prediction(self, pred: PredictedJob, by_id, group_of) -> None:
         fc = self.fc
         pattern = by_id[pred.pattern_id]
-        group = group_for_pattern(groups, pred.pattern_id)
         conf = confidence_factor(
-            pattern.length + pred.steps_ahead, group, fc.mode
+            pattern.length + pred.steps_ahead, group_of[pred.pattern_id], fc.mode
         )
         pred = with_confidence(pred, conf)
         width = min(_MATCH_WINDOW_FRAC * pattern.period, _MATCH_WINDOW_CAP)

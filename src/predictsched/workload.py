@@ -144,10 +144,11 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
     wall time becomes the runtime estimate when present, falling back to the
     actual runtime.  Records with nonpositive runtime or processor count are
     dropped (the count is kept on the result); a fractional id or processor
-    count is a ParseError.
+    count, or an id that a kept record already has, is a ParseError.
     """
     raw: list[tuple[int, dict]] = []
     dropped = 0
+    seen: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(";"):
@@ -173,6 +174,9 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
         if runtime <= 0 or cpus <= 0:
             dropped += 1
             continue
+        if job_id in seen:
+            raise ParseError(f"line {lineno}: duplicate id {job_id}")
+        seen.add(job_id)
         req_time = vals[8]
         raw.append((lineno, dict(
             job_id=job_id, user_id=user_id, group_id=group_id, submit_time=vals[1],

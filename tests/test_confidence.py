@@ -1,11 +1,14 @@
+import statistics
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from predictsched import (
     Decision,
     FeedbackEvent,
     Pattern,
     PredictedJob,
+    SimilarityParams,
     ThresholdState,
     confidence_factor,
     decide,
@@ -13,6 +16,8 @@ from predictsched import (
     group_patterns,
     update_thresholds,
 )
+from predictsched.confidence import _PERIOD_RATIO_TOL, _make_group, groups_by_pattern
+from predictsched.patterns import reqs_match
 
 DAY = 86400.0
 
@@ -55,6 +60,72 @@ class TestGroupPatterns:
         a = pattern(0, 86400, 5, layer=1)
         b = pattern(1, 86400, 5, layer=2)
         assert len(group_patterns([a, b])) == 2
+
+
+def reference_groups(patterns, req_params):
+    """group_patterns as it was with statistics.median over every candidate
+    group's members at every step."""
+    groups = []
+    for p in sorted(patterns, key=lambda q: q.pattern_id):
+        for members in groups:
+            if members[0].layer != p.layer:
+                continue
+            med_period = statistics.median(m.period for m in members)
+            lo, hi = min(p.period, med_period), max(p.period, med_period)
+            if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
+                continue
+            med_cpus = statistics.median(m.rep_cpus for m in members)
+            med_rt = statistics.median(m.rep_runtime for m in members)
+            if reqs_match(p.rep_cpus, med_cpus, p.rep_runtime, med_rt, req_params):
+                members.append(p)
+                break
+        else:
+            groups.append([p])
+    return [
+        _make_group([m.pattern_id for m in members], [m.length for m in members])
+        for members in groups
+    ]
+
+
+@st.composite
+def pattern_sets(draw):
+    # one requirement varies at a time (or all do) over a dense range, so
+    # that groups grow past two members and their medians decide who joins
+    vary = draw(st.sampled_from(["period", "cpus", "runtime", "all"]))
+
+    def values(name, spread):
+        return spread if vary in (name, "all") else st.just(draw(spread))
+
+    periods = values("period", st.integers(3000, 6000).map(float))
+    cpus = values("cpus", st.integers(1, 12))
+    runtimes = values("runtime", st.one_of(st.integers(500, 1100), st.floats(500, 1100)))
+    return [
+        pattern(
+            pid,
+            draw(periods),
+            draw(st.integers(3, 12)),
+            cpus=draw(cpus),
+            runtime=draw(runtimes),
+            layer=draw(st.sampled_from([1, 1, 1, 2])),
+        )
+        for pid in draw(st.permutations(range(draw(st.integers(0, 25)))))
+    ]
+
+
+class TestGroupPatternsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pattern_sets(),
+        st.sampled_from([0.0, 0.25, 0.4, 0.5]),
+        st.sampled_from([0.0, 0.1, 0.25, 0.4]),
+    )
+    def test_equals_statistics_median_reference(self, patterns, cpu_tol, runtime_tol):
+        params = SimilarityParams(cpu_tol=cpu_tol, runtime_tol=runtime_tol)
+        groups = group_patterns(patterns, params)
+        assert groups == reference_groups(patterns, params)
+        group_of = groups_by_pattern(groups)
+        assert sorted(group_of) == sorted(p.pattern_id for p in patterns)
+        assert all(pid in group_of[pid].member_pattern_ids for pid in group_of)
 
 
 class TestConfidenceFactor:

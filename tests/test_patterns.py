@@ -1,6 +1,11 @@
+import statistics
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predictsched import (
+    Pattern,
     PatternMiner,
     SimilarityParams,
     SynthSpec,
@@ -15,6 +20,7 @@ from predictsched import (
 )
 
 from conftest import DAY, make_job, make_workload, weekly_workload
+from predictsched import patterns as patterns_module
 
 
 def jobs_at(times, user=1, cpus=4, runtime=3600, start_id=1):
@@ -299,6 +305,190 @@ class TestPatternMiner:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             mine_patterns([])
+
+
+def reference_chains(cluster, params=SimilarityParams(), layer=1, start_id=0, span_of=None):
+    """Reference greedy chaining, from scratch: it rebuilds the unclaimed
+    members for every attempt and reads every median with statistics."""
+    jobs = sorted(cluster, key=lambda j: (j.submit_time, j.job_id))
+    claimed: set[int] = set()
+    dead: set[int] = set()
+    patterns: list[Pattern] = []
+    next_id = start_id
+
+    def gap_ok(gap, tail):
+        if gap <= 0:
+            return False
+        if span_of is not None and gap <= span_of.get(tail.job_id, 0.0):
+            return False
+        return True
+
+    while True:
+        avail = [j for j in jobs if j.job_id not in claimed and j.job_id not in dead]
+        if len(avail) < 2:
+            break
+        anchor = avail[0]
+        partner_idx = next(
+            (i for i in range(1, len(avail))
+             if gap_ok(avail[i].submit_time - anchor.submit_time, anchor)),
+            None,
+        )
+        if partner_idx is None:
+            dead.add(anchor.job_id)
+            continue
+        chain = [anchor, avail[partner_idx]]
+        gaps = [avail[partner_idx].submit_time - anchor.submit_time]
+        for j in avail[partner_idx + 1 :]:
+            gap = j.submit_time - chain[-1].submit_time
+            p_med = statistics.median(gaps)
+            if not gap_ok(gap, chain[-1]) or abs(gap - p_med) > params.period_jitter * p_med:
+                break
+            chain.append(j)
+            gaps.append(gap)
+        if len(chain) >= params.min_occurrences:
+            patterns.append(
+                Pattern(
+                    pattern_id=next_id,
+                    layer=layer,
+                    user_id=anchor.user_id,
+                    rep_cpus=int(statistics.median_low(j.cpus for j in chain)),
+                    rep_runtime=float(statistics.median(j.runtime for j in chain)),
+                    period=float(statistics.median(gaps)),
+                    occurrences=tuple((j.job_id, j.submit_time) for j in chain),
+                    child_ids=tuple(j.job_id for j in chain) if layer > 1 else (),
+                )
+            )
+            next_id += 1
+            claimed.update(j.job_id for j in chain)
+        else:
+            dead.add(anchor.job_id)
+    return patterns
+
+
+def reference_mining(jobs, params):
+    """Every cluster chained from scratch by the reference loop, then the
+    higher layers built with the reference loop too."""
+    layer1 = []
+    for cluster in group_similar_jobs(jobs, params):
+        layer1.extend(reference_chains(cluster, params, start_id=len(layer1)))
+    with mock.patch.object(patterns_module, "detect_patterns", reference_chains):
+        return build_layers(layer1, params)
+
+
+@st.composite
+def _beats(draw, max_jobs):
+    # mostly one period, with same-instant ties, jitter inside and outside
+    # the 10 % bound, and noise gaps that break chains after a few beats
+    t = draw(st.integers(0, 6)) * 3600.0
+    period = draw(st.sampled_from([3600.0, DAY, 7 * DAY]))
+    times = []
+    for _ in range(draw(st.integers(0, max_jobs))):
+        step = draw(st.sampled_from(["beat", "beat", "beat", "tie", "jitter", "noise"]))
+        if step == "beat":
+            t += period
+        elif step == "jitter":
+            t += period * draw(st.sampled_from([0.85, 0.93, 1.04, 1.08, 1.3]))
+        elif step == "noise":
+            t += draw(st.integers(1, 3 * int(period)))
+        times.append(t)
+    return times
+
+
+@st.composite
+def _progressions(draw, max_jobs):
+    # a few beats at different periods from nearby starts: they share
+    # instants, and a tie skipped by one chain can anchor a later one
+    times = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, 3)) * 3600.0
+        period = draw(st.sampled_from([1, 2, 3, 10])) * 3600.0
+        times.extend(start + k * period for k in range(draw(st.integers(0, 8))))
+    return times[:max_jobs]
+
+
+@st.composite
+def job_streams(draw, max_users=3, max_jobs=24):
+    """Jobs of a few users in (submit_time, job_id) order."""
+    jobs = []
+    for user in range(draw(st.integers(1, max_users))):
+        for t in draw(st.one_of(_beats(max_jobs), _progressions(max_jobs))):
+            jobs.append(make_job(
+                len(jobs) + 1, t,
+                draw(st.sampled_from([3600, 3600, 3900, 9000])),
+                draw(st.sampled_from([4, 4, 4, 8])),
+                user=user,
+            ))
+    return sorted(jobs, key=lambda j: (j.submit_time, j.job_id))
+
+
+@st.composite
+def split_streams(draw):
+    jobs = draw(job_streams())
+    cuts = sorted(draw(st.lists(st.integers(0, len(jobs)), max_size=8)))
+    bounds = [0, *cuts, len(jobs)]
+    batches = [jobs[a:b] for a, b in zip(bounds, bounds[1:])]
+    params = SimilarityParams(
+        min_occurrences=draw(st.sampled_from([3, 4])),
+        same_user=draw(st.booleans()),
+    )
+    return batches, params
+
+
+class TestResumableChaining:
+    @settings(max_examples=300, deadline=None)
+    @given(split_streams())
+    def test_miner_equals_from_scratch_after_every_batch(self, case):
+        batches, params = case
+        miner = PatternMiner(params)
+        prefix = []
+        for batch in batches:
+            miner.add(batch)
+            prefix.extend(batch)
+            if prefix:
+                assert miner.patterns() == reference_mining(prefix, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        job_streams(max_users=1, max_jobs=30),
+        st.sampled_from([3, 4]),
+        st.lists(st.sampled_from([0.0, 1800.0, 3600.0, DAY, 3 * DAY, 8 * DAY]), max_size=30),
+        st.integers(0, 5),
+    )
+    def test_layer2_span_of_equals_reference(self, jobs, min_occurrences, spans, start_id):
+        params = SimilarityParams(min_occurrences=min_occurrences)
+        span_of = {j.job_id: s for j, s in zip(jobs, spans)}
+        assert detect_patterns(
+            jobs, params, layer=2, start_id=start_id, span_of=span_of
+        ) == reference_chains(jobs, params, layer=2, start_id=start_id, span_of=span_of)
+
+    def test_weekly_history_reaches_layer_2_and_equals_reference(self):
+        jobs = list(weekly_workload())
+        for same_user in (True, False):
+            params = SimilarityParams(same_user=same_user)
+            expected = reference_mining(jobs, params)
+            assert mine_patterns(jobs, params) == expected
+            assert any(p.layer == 2 for p in expected)
+
+    def test_skipped_tie_anchors_a_later_chain(self):
+        # the tie at 0 is skipped by the daily chain and later anchors the
+        # ten-day chain, which then comes first in the history
+        jobs = jobs_at([0, 0, DAY, 2 * DAY, 3 * DAY, 10 * DAY, 20 * DAY, 30 * DAY])
+        pats = detect_patterns(jobs)
+        assert [[t / DAY for _, t in p.occurrences] for p in pats] == [
+            [0, 1, 2, 3], [0, 10, 20, 30]
+        ]
+        assert pats == reference_chains(jobs)
+
+    def test_waiting_chain_resumes_across_batches(self):
+        # a daily chain split at every job: each snapshot closes the waiting
+        # attempt as it stands, and the next batch extends the same chain
+        jobs = jobs_at([k * DAY for k in range(6)])
+        miner = PatternMiner()
+        lengths = []
+        for job in jobs:
+            miner.add([job])
+            lengths.append([p.length for p in miner.patterns()])
+        assert lengths == [[], [], [3], [4], [5], [6]]
 
 
 def test_predictions_csv_layout():

@@ -51,6 +51,19 @@ class TestParseSwf:
         assert [j.submit_time for j in wl] == [0, 50, 100]
         assert [j.job_id for j in wl] == [1, 3, 2]
 
+    def test_duplicate_id_reports_line(self):
+        text = "\n".join(
+            ["; header", swf_line(1, 0, 300, 4, 4, 600), swf_line(1, 50, 300, 4, 4, 600)]
+        )
+        with pytest.raises(ParseError, match="^line 3: duplicate id 1$"):
+            parse_swf(text)
+
+    def test_dropped_record_id_not_counted(self):
+        # a dropped record never joins the workload, so its id stays free
+        wl = parse_swf(swf_line(1, 0, -1, 4, 4, 600) + "\n" + swf_line(1, 50, 300, 4, 4, 600))
+        assert [j.job_id for j in wl] == [1]
+        assert wl.dropped == 1
+
     def test_requested_procs_win_over_allocated(self):
         wl = parse_swf(swf_line(1, 0, 100, 8, 4, 200))
         assert wl.jobs[0].cpus == 4
