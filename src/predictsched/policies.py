@@ -7,7 +7,8 @@ of running jobs, plus any hard reservation windows the engine passes in.
 
 Planning always uses the user's runtime estimate; the engine fires actual
 finishes, which re-invokes the policy, so early completions are exploited
-immediately.
+immediately.  The planners keep their plan between calls and reuse it only
+while the fresh profile shows that it still holds (see Planner).
 """
 
 from __future__ import annotations
@@ -95,8 +96,18 @@ class CapacityProfile:
     def _seg_index(self, t: float) -> int:
         return bisect.bisect_right(self.times, t) - 1
 
-    def free_at(self, t: float) -> float:
-        return self.free[self._seg_index(t)]
+    def copy(self) -> "CapacityProfile":
+        other = CapacityProfile.__new__(CapacityProfile)
+        other.times, other.free = self.times[:], self.free[:]
+        return other
+
+    def advance(self, now: float) -> None:
+        """Drop the steps that end at or before now, which is not before
+        times[0]; the profile then starts at now."""
+        i = self._seg_index(now)
+        if i:
+            del self.times[:i], self.free[:i]
+        self.times[0] = now
 
     def fits(self, start: float, duration: float, cpus: int) -> bool:
         i = self._seg_index(start)
@@ -236,32 +247,117 @@ class FirstFit(Policy):
         return starts
 
 
-class ConservativeBackfill(Policy):
+class Planner(Policy):
+    """Plans the whole queue in order on a capacity profile and starts the
+    jobs planned for now.  _place(profile, job) gives a job's start, or
+    None when it fits nowhere; last_placements maps each job placed at the
+    last call to its start.
+
+    The plan outlives the call.  The next call places only the jobs that
+    joined the queue, on the kept plan profile, if all of these hold:
+      1. now is not before the kept call;
+      2. the queue starts with the jobs that call left waiting, in order;
+      3. the fresh profile has exactly the steps of that call's fresh profile,
+         with the jobs it started carved out, advanced to now;
+      4. no kept placement is before now.
+    Otherwise it plans afresh, which is the same loop with nothing kept.
+    Reuse is exact: a placement is the earliest suitable start at or after
+    now, so with the profile from now on unchanged each waiting job gets its
+    kept start back, and a job started from behind a waiting one was placed
+    around it.  A finish off its estimate, a lapsed estimate or a new hard
+    window changes the fresh profile.  A call that leaves fewer than two
+    jobs waiting keeps nothing, because checking a plan costs about what
+    placing one job again does.
+    """
+
+    _keeps_plan = True
+    _prefix_only = False  # keep only when the started jobs lead the queue
+
+    def __init__(self):
+        # (now, fresh profile with the starts carved out, plan profile,
+        #  waiting jobs, their placements, the earliest of those)
+        self._kept = None
+        self._last: tuple[tuple[Job, ...], list[float]] = ((), [])
+
+    @property
+    def last_placements(self) -> dict[int, float]:
+        queue, planned = self._last
+        return {job.job_id: t for job, t in zip(queue, planned) if t != math.inf}
+
+    def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
+        raise NotImplementedError
+
+    def select(self, view: SchedulerView) -> list[Job]:
+        now, queue = view.now, view.queue
+        fresh = CapacityProfile.from_view(view)
+        kept = self._kept
+        if kept is not None:
+            self._kept = None
+            t0, base, plan, waiting, planned, earliest = kept
+            if now < t0 or earliest < now or queue[:len(waiting)] != waiting:
+                kept = None
+            else:
+                base.advance(now)
+                if base.times != fresh.times or base.free != fresh.free:
+                    kept = None
+        if kept is None:
+            plan = fresh.copy() if self._keeps_plan and len(queue) > 1 else fresh
+            planned, starts, tail = [], [], queue
+        else:
+            plan.advance(now)
+            starts = [] if earliest > now else [
+                job for job, t in zip(waiting, planned) if t == now]
+            tail = queue[len(waiting):]
+        place = self._place
+        for job in tail:
+            t = place(plan, job)
+            if t is None:
+                planned.append(math.inf)  # waits, holding nothing
+                continue
+            plan.reserve(t, job.runtime_estimate, job.cpus)
+            planned.append(t)
+            if t == now:
+                starts.append(job)
+        self._last = (queue, planned)
+        n = len(starts)
+        if plan is fresh or n > len(queue) - 2:
+            return starts
+        if n == 0:
+            waiting = queue
+        elif starts[-1] is queue[n - 1]:  # the started jobs lead the queue
+            waiting, planned = queue[n:], planned[n:]
+        elif self._prefix_only:
+            return starts
+        else:
+            waiting = tuple(job for job, t in zip(queue, planned) if t != now)
+            planned = [t for t in planned if t != now]
+        for job in starts:
+            fresh.reserve(now, job.runtime_estimate, job.cpus)
+        self._kept = (now, fresh, plan, waiting, planned, min(planned))
+        return starts
+
+
+class ConservativeBackfill(Planner):
     """Every queued job holds a planned start; early starts never displace one.
 
-    Plans are recomputed from scratch in submit order on every scheduling
-    point; with estimates that do not understate runtimes, recomputation can
-    only move planned starts earlier.  first_planned keeps each job's
-    original promise for auditing.
+    Each job is planned at its earliest fit, in submit order, on the plan
+    that Planner keeps between calls and checks against the fresh profile;
+    with estimates that do not understate runtimes, re-planning can only
+    move planned starts earlier.  first_planned keeps each job's original
+    promise for auditing.
     """
 
     name = "cons-bf"
 
     def __init__(self):
+        super().__init__()
         self.first_planned: dict[int, float] = {}
 
-    def select(self, view: SchedulerView) -> list[Job]:
-        profile = CapacityProfile.from_view(view)
-        starts: list[Job] = []
-        for job in view.queue:
-            t = profile.earliest_fit(job.cpus, job.runtime_estimate, view.now)
-            if t is None:
-                continue
-            profile.reserve(t, job.runtime_estimate, job.cpus)
+    def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
+        t = profile.earliest_fit(job.cpus, job.runtime_estimate, profile.times[0])
+        if t is not None:
             self.first_planned.setdefault(job.job_id, t)
-            if t == view.now:
-                starts.append(job)
-        return starts
+        return t
 
 
 class EasyBackfill(Policy):
@@ -304,34 +400,23 @@ class EasyBackfill(Policy):
         return starts
 
 
-class GapPolicy(Policy):
-    """Schedule-based placement into profile gaps, recomputed every event.
+class GapPolicy(Planner):
+    """Schedule-based placement into profile gaps.
 
     A gap is a maximal constant-capacity rectangle of the profile.  ESG
     takes the earliest gap wide and long enough; BestGap minimizes leftover
-    (cpus slack, then duration slack), earliest among equals.
-    last_placements maps each job placed at the last call to its gap start;
-    the engine makes no call when the queue is empty, so it keeps the last
-    non-empty plan.
+    (cpus slack, then duration slack), earliest among equals.  ESG reuses
+    its kept plan (see Planner) only after a call whose started jobs led
+    the queue, because a job started from behind a waiting one can split
+    that job's gap.  BestGap plans afresh at every call, because the gap
+    holding now shrinks as time passes and can become the best fit.  The
+    engine makes no call when the queue is empty, so last_placements keeps
+    the last non-empty plan.
     """
 
     def __init__(self, best: bool):
+        super().__init__()
         self.best = best
-        self.last_placements: dict[int, float] = {}
-
-    def select(self, view: SchedulerView) -> list[Job]:
-        profile = CapacityProfile.from_view(view)
-        starts: list[Job] = []
-        self.last_placements = {}
-        for job in view.queue:
-            placed = self._place(profile, job)
-            if placed is None:
-                continue
-            profile.reserve(placed, job.runtime_estimate, job.cpus)
-            self.last_placements[job.job_id] = placed
-            if placed == view.now:
-                starts.append(job)
-        return starts
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         """Start of the chosen gap, in one pass over the profile's steps.
@@ -369,6 +454,7 @@ class GapPolicy(Policy):
 
 class EarliestSuitableGap(GapPolicy):
     name = "esg"
+    _prefix_only = True
 
     def __init__(self):
         super().__init__(best=False)
@@ -376,6 +462,7 @@ class EarliestSuitableGap(GapPolicy):
 
 class BestGap(GapPolicy):
     name = "best-gap"
+    _keeps_plan = False
 
     def __init__(self):
         super().__init__(best=True)

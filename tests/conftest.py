@@ -142,6 +142,16 @@ def overestimate_workload() -> Workload:
     )
 
 
+def underestimate_workload() -> Workload:
+    """The backlog mix with estimates alternately 0.6x and 1.5x the runtime:
+    half the jobs outlive their estimate, so the capacity a plan counted on
+    is not released when it was due, and the other half finish early."""
+    return make_workload(
+        *(dataclasses.replace(j, runtime_estimate=(0.6 if k % 2 == 0 else 1.5) * j.runtime)
+          for k, j in enumerate(backlog_workload().jobs))
+    )
+
+
 def enumerate_instances(max_jobs: int = 5):
     """Every small workload used by the backfilling correctness gate.
 

@@ -4,7 +4,8 @@
 feedback CSV of a few small `dl` runs, and under "policies" the sha256 of
 the trace CSV of each of the other ten policies on the lifecycle and weekly
 workloads and of the four planner policies on the deep-queue backlog
-workload and on its overestimated twin, where every finish comes early.
+workload, on its overestimated twin, where every finish comes early, and on
+its underestimated twin, where half the jobs outlive their estimate.
 A refactor of the engine, the planners, the miner or the confidence
 scoring must leave every byte unchanged.  When behaviour is
 meant to change, re-record with
@@ -37,6 +38,7 @@ from conftest import (
     backlog_workload,
     lifecycle_workload,
     overestimate_workload,
+    underestimate_workload,
     weekly_workload,
 )
 
@@ -51,6 +53,7 @@ SCENARIOS = {
     "weekly-pooled": (weekly_workload, False, ThresholdState(0.05, 0.1, min_gap=0.05)),
     "backlog": (backlog_workload, True, ThresholdState()),
     "overestimate": (overestimate_workload, True, ThresholdState()),
+    "underestimate": (underestimate_workload, True, ThresholdState()),
 }
 
 # the ten policies that run without a forecaster on the two light workloads,
@@ -63,6 +66,7 @@ POLICY_SCENARIOS = {
     "weekly": (weekly_workload, PLAIN_POLICIES),
     "backlog": (backlog_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
     "overestimate": (overestimate_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
+    "underestimate": (underestimate_workload, ("cons-bf", "easy-bf", "esg", "best-gap")),
 }
 POLICY_CASES = [
     (name, token)

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import pytest
@@ -6,14 +7,24 @@ from hypothesis import given, settings, strategies as st
 
 from predictsched import (
     ClusterConfig,
+    ForecasterConfig,
+    Policy,
     PolicyKind,
+    ThresholdState,
     make_policy,
     run,
+    run_with_telemetry,
     trace_to_csv,
 )
 from predictsched.policies import CapacityProfile, SchedulerView
 
-from conftest import capacity_breaches, enumerate_instances, make_job, make_workload
+from conftest import (
+    capacity_breaches,
+    enumerate_instances,
+    make_job,
+    make_workload,
+    weekly_workload,
+)
 
 
 def view(now=0.0, total=4, free=None, queue=(), running=(), hard=()):
@@ -36,9 +47,8 @@ class TestCapacityProfile:
     def test_future_hard_window(self):
         v = view(total=4, hard=((10.0, 20.0, 3),))
         profile = CapacityProfile.from_view(v)
-        assert profile.free_at(0) == 4
-        assert profile.free_at(10) == 1
-        assert profile.free_at(20) == 4
+        assert profile.times == [0.0, 10.0, 20.0]
+        assert profile.free == [4.0, 1.0, 4.0]
 
     def test_earliest_fit_spans_segments(self):
         v = view(total=4, free=2, running=((make_job(1, 0, 5, 2), 0.0, 5.0),))
@@ -49,9 +59,8 @@ class TestCapacityProfile:
     def test_reserve_carves_capacity(self):
         profile = CapacityProfile(0.0, 4, {})
         profile.reserve(3.0, 4.0, 3)
-        assert profile.free_at(2.9) == 4
-        assert profile.free_at(3.0) == 1
-        assert profile.free_at(7.0) == 4
+        assert profile.times == [0.0, 3.0, 7.0]
+        assert profile.free == [4.0, 1.0, 4.0]
 
 
 class TestQueuePolicies:
@@ -405,3 +414,139 @@ class TestPlannerMatchesReference:
             assert fast.times == ref.times
             assert fast.free == ref.free
             assert fast.segments() == ref.segments()
+
+
+class FreshChecked(Policy):
+    """Wraps a planner and, at every select, checks its answer against a
+    fresh instance of the same policy given the same view."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.calls = 0
+
+    def select(self, view):
+        fresh = make_policy(self.inner.name)
+        want = fresh.select(view)
+        before = set(getattr(self.inner, "first_planned", ()))
+        got = self.inner.select(view)
+        self.calls += 1
+
+        def new_promises(policy):
+            promised = getattr(policy, "first_planned", {})
+            return {k: t for k, t in promised.items() if k not in before}
+
+        assert got == want, view.now
+        assert self.inner.last_placements == fresh.last_placements, view.now
+        assert new_promises(self.inner) == new_promises(fresh), view.now
+        return got
+
+
+# runtimes and submit gaps on small grids, so that finishes, estimates and
+# submits often fall on the same instant; a gap of 0 is a burst
+_runtimes = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 60.0])
+_estimate_factors = st.sampled_from([0.5, 0.6, 0.75, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0])
+_submit_gaps = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0])
+
+
+@st.composite
+def random_workloads(draw):
+    total = draw(st.integers(min_value=2, max_value=16))
+    n = draw(st.integers(min_value=5, max_value=150))  # a list size alone stays small
+    rows = draw(st.lists(
+        st.tuples(_submit_gaps, st.integers(min_value=1, max_value=total),
+                  _runtimes, _estimate_factors),
+        min_size=n, max_size=n,
+    ))
+    jobs, submit = [], 0.0
+    for k, (gap, cpus, runtime, factor) in enumerate(rows):
+        submit += gap
+        jobs.append(make_job(k + 1, submit, runtime, cpus, estimate=factor * runtime))
+    return make_workload(*jobs), ClusterConfig(total)
+
+
+class WithHardWindows(Policy):
+    """Hands the wrapped policy views that also carry the given hard windows
+    (made, start, end, cpus), each live from made until its end, with the
+    holds in force taken out of free_cpus, as the engine's book would."""
+
+    def __init__(self, inner, windows):
+        self.inner = inner
+        self.name = inner.name
+        self.windows = windows
+
+    def select(self, view):
+        now = view.now
+        live = tuple((ws, we, c) for made, ws, we, c in self.windows if made <= now < we)
+        held = sum(c for ws, _we, c in live if ws <= now)
+        return self.inner.select(dataclasses.replace(
+            view, free_cpus=view.free_cpus - held, hard_windows=live))
+
+
+@st.composite
+def workloads_with_hard_windows(draw):
+    wl, cluster = draw(random_workloads())
+    windows = tuple(
+        (made, made + lead, made + lead + length, cpus)
+        for made, lead, length, cpus in draw(st.lists(st.tuples(
+            _times.map(lambda t: 10 * t), _times, _runtimes,
+            st.integers(min_value=1, max_value=cluster.total_cpus),
+        ), max_size=4))
+    )
+    # a job submitted after every window has ended, so that an event
+    # re-plans the queue once the last hold is gone
+    last = max([we for _m, _ws, we, _c in windows] + [wl.jobs[-1].submit_time])
+    tail = make_job(len(wl.jobs) + 1, last + 1.0, 1.0, 1)
+    return make_workload(*wl.jobs, tail), cluster, windows
+
+
+def _weekly_dl_config():
+    # the low thresholds of the weekly fingerprint scenario, so that the
+    # forecaster makes hard reservations
+    return ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
+
+
+class TestKeptPlanMatchesFresh:
+    """A planner that reuses its kept plan starts and places exactly what a
+    fresh instance would at every call, and gives the same trace when the
+    same object runs a second time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_workloads())
+    def test_every_call_matches_a_fresh_policy(self, case):
+        wl, cluster = case
+        for token in ("cons-bf", "esg", "best-gap"):
+            checked = FreshChecked(make_policy(token))
+            run(wl, cluster, checked)
+            assert checked.calls > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_workloads())
+    def test_reused_object_gives_a_fresh_trace(self, case):
+        wl, cluster = case
+        for token in ("cons-bf", "esg", "best-gap"):
+            policy = make_policy(token)
+            first = trace_to_csv(run(wl, cluster, policy))
+            assert first == trace_to_csv(run(wl, cluster, make_policy(token)))
+            assert trace_to_csv(run(wl, cluster, policy)) == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(workloads_with_hard_windows())
+    def test_dl_matches_a_fresh_policy_around_hard_windows(self, case):
+        wl, cluster, windows = case
+        checked = FreshChecked(make_policy("dl"))
+        run(wl, cluster, WithHardWindows(checked, windows))
+        assert checked.calls > 0
+
+    @pytest.mark.parametrize("factors", [(1.0,), (0.6, 1.5), (3.0,)])
+    def test_dl_on_the_weekly_workload(self, factors):
+        wl = make_workload(*(
+            dataclasses.replace(j, runtime_estimate=factors[k % len(factors)] * j.runtime)
+            for k, j in enumerate(weekly_workload().jobs)
+        ))
+        cluster = ClusterConfig(16)
+        checked = FreshChecked(make_policy("dl"))
+        _trace, tel = run_with_telemetry(wl, cluster, checked, _weekly_dl_config())
+        assert any(r.hard for r in tel.reservations)
+        again = trace_to_csv(run(wl, cluster, checked.inner, _weekly_dl_config()))
+        assert again == trace_to_csv(run(wl, cluster, "dl", _weekly_dl_config()))
