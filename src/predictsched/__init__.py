@@ -56,6 +56,7 @@ from .ranking import (
     principal_eigenvector,
     rank_algorithms,
     relative_estimations,
+    render_matrix,
     render_report,
     weights_from_binary_matrix,
 )
@@ -66,6 +67,7 @@ from .simulator import (
     Telemetry,
     run,
     run_with_telemetry,
+    score_predictions,
 )
 from .synth import (
     Occurrence,

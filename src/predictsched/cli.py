@@ -17,34 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .confidence import (
-    ThresholdState,
-    confidence_factor,
-    feedback_to_csv,
-    group_patterns,
-    groups_by_pattern,
-)
+from .confidence import ThresholdState, feedback_to_csv
 from .hurst import hurst_exponent
 from .metrics import ORIENTATIONS, objectives
-from .patterns import (
-    SimilarityParams,
-    mine_patterns,
-    predictions_to_csv,
-    prolong,
-    with_confidence,
-)
+from .patterns import SimilarityParams, mine_patterns, predictions_to_csv
+from .policies import POLICY_TOKENS
 from .ranking import (
-    global_matrix,
     load_matrix_tsv,
     principal_eigenvector,
-    relative_estimations,
+    rank_algorithms,
+    render_matrix,
     render_report,
     weights_from_binary_matrix,
 )
 from .simtrace import trace_to_csv
-from .simulator import ForecasterConfig, run, run_with_telemetry
+from .simulator import ForecasterConfig, run, run_with_telemetry, score_predictions
 from .synth import parse_synth_spec, synth_workload, truth_to_csv
-from .workload import load_workload, to_time_series, workload_to_csv
+from .workload import ClusterConfig, load_workload, to_time_series, workload_to_csv
 
 # default criterion preferences: makespan and slowdown tie, slowdown
 # outranks resource usage, resource usage outranks makespan
@@ -85,6 +74,14 @@ def _similarity(args) -> SimilarityParams:
     )
 
 
+def _policy_token(token: str) -> str:
+    lowered = token.lower()
+    if lowered not in POLICY_TOKENS:
+        valid = ", ".join(POLICY_TOKENS)
+        raise CliError(f"unknown policy '{token}'; expected one of {valid}", code=2)
+    return lowered
+
+
 def cmd_analyze(args) -> int:
     workload = load_workload(args.workload, args.format)
     series = to_time_series(workload, args.channel, args.bin_width)
@@ -103,16 +100,7 @@ def cmd_forecast(args) -> int:
     params = _similarity(args)
     patterns = mine_patterns(workload, params, max_layer=args.max_layer)
     now = args.now if args.now is not None else workload.jobs[-1].submit_time
-    preds = prolong(patterns, now, args.horizon)
-    group_of = groups_by_pattern(group_patterns(patterns, req_params=params))
-    by_id = {p.pattern_id: p for p in patterns}
-    scored = []
-    for pred in preds:
-        pattern = by_id[pred.pattern_id]
-        conf = confidence_factor(
-            pattern.length + pred.steps_ahead, group_of[pred.pattern_id], args.mode
-        )
-        scored.append(with_confidence(pred, conf))
+    scored = [pred for pred, _ in score_predictions(patterns, now, args.horizon, params, args.mode)]
     csv_text = predictions_to_csv(scored, patterns)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
@@ -139,10 +127,11 @@ def _forecaster_config(args) -> ForecasterConfig:
 
 
 def cmd_simulate(args) -> int:
+    policy = _policy_token(args.policy)
     workload = load_workload(args.workload, args.format)
-    cluster = _cluster(args)
-    forecaster = _forecaster_config(args) if args.policy == "dl" else None
-    trace, telemetry = run_with_telemetry(workload, cluster, args.policy, forecaster)
+    cluster = ClusterConfig(total_cpus=args.cpus)
+    forecaster = _forecaster_config(args) if policy == "dl" else None
+    trace, telemetry = run_with_telemetry(workload, cluster, policy, forecaster)
     if args.out:
         Path(args.out).write_text(trace_to_csv(trace), encoding="utf-8")
         print(f"trace written to {args.out}")
@@ -159,43 +148,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _cluster(args):
-    from .workload import ClusterConfig
-
-    return ClusterConfig(total_cpus=args.cpus)
-
-
 def cmd_compare(args) -> int:
-    raw_weights, _ = weights_from_binary_matrix(DEFAULT_BINARY_MATRIX)
     if args.matrix:
-        text = _read_file(args.matrix)
-        matrix, names = load_matrix_tsv(text)
-        ranking = principal_eigenvector(matrix)
+        matrix, names = load_matrix_tsv(_read_file(args.matrix))
         names = names or [f"alg{i}" for i in range(matrix.shape[0])]
-        print("\t" + "\t".join(names) + "\teigenvector")
-        for i, name in enumerate(names):
-            row = "\t".join(f"{matrix[i, k]:.9g}" for k in range(len(names)))
-            print(f"{name}\t{row}\t{ranking.eigenvector[i]:.4f}")
-        print(f"\nwinner\t{names[ranking.winner]}")
+        sys.stdout.write(render_matrix(names, matrix, principal_eigenvector(matrix)))
         return 0
 
-    policies = args.policies.split(",") if args.policies else []
+    policies = [_policy_token(t) for t in args.policies.split(",")] if args.policies else []
     if len(policies) < 2:
         raise CliError("compare needs at least 2 policies (or --matrix)", code=2)
     if not args.workload or args.cpus is None:
         raise CliError("compare needs --workload and --cpus", code=2)
     workload = load_workload(args.workload, args.format)
-    cluster = _cluster(args)
+    cluster = ClusterConfig(total_cpus=args.cpus)
     values = []
     for token in policies:
         forecaster = _forecaster_config(args) if token == "dl" else None
         trace = run(workload, cluster, token, forecaster)
         values.append(objectives(trace, cluster).as_tuple())
     values = np.array(values)
-    rel, degenerate = relative_estimations(values, ORIENTATIONS)
-    matrix = global_matrix(rel, raw_weights)
-    ranking = principal_eigenvector(matrix)
-    sys.stdout.write(render_report(policies, values, matrix, ranking, degenerate))
+    raw_weights, _ = weights_from_binary_matrix(DEFAULT_BINARY_MATRIX)
+    matrix, ranking = rank_algorithms(values, ORIENTATIONS, raw_weights)
+    sys.stdout.write(render_report(policies, values, matrix, ranking))
     return 0
 
 

@@ -373,30 +373,23 @@ class EasyBackfill(Policy):
         self.shadow_log: list[tuple[float, int, Optional[float]]] = []
 
     def select(self, view: SchedulerView) -> list[Job]:
+        # every job that fits now starts; the first that does not is the
+        # head, whose shadow reservation the jobs after it must fit around
         profile = CapacityProfile.from_view(view)
-        queue = view.queue
+        now = view.now
         starts: list[Job] = []
-        idx = 0
-        while idx < len(queue):
-            job = queue[idx]
-            if not profile.fits(view.now, job.runtime_estimate, job.cpus):
-                break
-            profile.reserve(view.now, job.runtime_estimate, job.cpus)
-            starts.append(job)
-            idx += 1
-        rest = queue[idx:]
-        if not rest:
-            return starts
-        head = rest[0]
-        shadow = profile.earliest_fit(head.cpus, head.runtime_estimate, view.now)
-        self.shadow_log.append((view.now, head.job_id, shadow))
-        if shadow is None:
-            return starts
-        profile.reserve(shadow, head.runtime_estimate, head.cpus)
-        for job in rest[1:]:
-            if profile.fits(view.now, job.runtime_estimate, job.cpus):
-                profile.reserve(view.now, job.runtime_estimate, job.cpus)
+        head_seen = False
+        for job in view.queue:
+            if profile.fits(now, job.runtime_estimate, job.cpus):
+                profile.reserve(now, job.runtime_estimate, job.cpus)
                 starts.append(job)
+            elif not head_seen:
+                head_seen = True
+                shadow = profile.earliest_fit(job.cpus, job.runtime_estimate, now)
+                self.shadow_log.append((now, job.job_id, shadow))
+                if shadow is None:
+                    break
+                profile.reserve(shadow, job.runtime_estimate, job.cpus)
         return starts
 
 
@@ -414,9 +407,7 @@ class GapPolicy(Planner):
     the last non-empty plan.
     """
 
-    def __init__(self, best: bool):
-        super().__init__()
-        self.best = best
+    _best = False
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         """Start of the chosen gap, in one pass over the profile's steps.
@@ -442,7 +433,7 @@ class GapPolicy(Planner):
             length = (times[i] if i < n else math.inf) - start
             if length < estimate:
                 continue
-            if not self.best:
+            if not self._best:
                 return start
             # key (cpus slack, duration slack, start); starts only grow, so
             # an equal slack pair never displaces the earlier gap
@@ -456,16 +447,11 @@ class EarliestSuitableGap(GapPolicy):
     name = "esg"
     _prefix_only = True
 
-    def __init__(self):
-        super().__init__(best=False)
-
 
 class BestGap(GapPolicy):
     name = "best-gap"
     _keeps_plan = False
-
-    def __init__(self):
-        super().__init__(best=True)
+    _best = True
 
 
 class DlPredictive(ConservativeBackfill):

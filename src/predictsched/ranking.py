@@ -193,27 +193,28 @@ def matrix_to_tsv(matrix, names: Optional[Sequence[str]] = None) -> str:
     return out.getvalue()
 
 
-def render_report(
-    names: Sequence[str],
-    values,
-    matrix,
-    ranking: Ranking,
-    degenerate=None,
-) -> str:
-    """Tab-separated report: absolute objectives, then matrix + eigenvector."""
+def render_matrix(names: Sequence[str], matrix, ranking: Ranking) -> str:
+    """Tab-separated matrix with each row's eigenvector entry, then the winner."""
+    m = np.asarray(matrix, dtype=float)
+    out = io.StringIO()
+    out.write("\t" + "\t".join(names) + "\teigenvector\n")
+    for i, name in enumerate(names):
+        row = "\t".join(f"{m[i, k]:.9g}" for k in range(len(names)))
+        out.write(f"{name}\t{row}\t{ranking.eigenvector[i]:.4f}\n")
+    out.write(f"\nwinner\t{names[ranking.winner]}\n")
+    return out.getvalue()
+
+
+def render_report(names: Sequence[str], values, matrix, ranking: Ranking) -> str:
+    """Tab-separated report: absolute objectives, flagging the degenerate
+    ones (every algorithm equal), then render_matrix."""
     from .metrics import OBJECTIVES  # local import avoids a module cycle
 
     v = np.asarray(values, dtype=float)
     out = io.StringIO()
     out.write("criteria\t" + "\t".join(names) + "\n")
     for j, obj in enumerate(OBJECTIVES):
-        flag = " (degenerate)" if degenerate is not None and degenerate[j] else ""
+        flag = " (degenerate)" if v[:, j].min() == v[:, j].max() else ""
         out.write(obj + flag + "\t" + "\t".join(f"{v[i, j]:.6g}" for i in range(len(names))) + "\n")
     out.write("\n")
-    out.write("\t" + "\t".join(names) + "\teigenvector\n")
-    m = np.asarray(matrix, dtype=float)
-    for i, name in enumerate(names):
-        row = "\t".join(f"{m[i, k]:.9g}" for k in range(len(names)))
-        out.write(f"{name}\t{row}\t{ranking.eigenvector[i]:.4f}\n")
-    out.write(f"\nwinner\t{names[ranking.winner]}\n")
-    return out.getvalue()
+    return out.getvalue() + render_matrix(names, matrix, ranking)

@@ -13,12 +13,14 @@ number, which makes repeated runs byte-identical.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Collection, Optional
+from typing import Collection, Optional, Sequence
 
 from .confidence import (
+    MODES,
     Decision,
     FeedbackEvent,
     ThresholdState,
@@ -29,6 +31,7 @@ from .confidence import (
     update_thresholds,
 )
 from .patterns import (
+    Pattern,
     PatternMiner,
     PredictedJob,
     SimilarityParams,
@@ -37,7 +40,7 @@ from .patterns import (
     reqs_match,
     with_confidence,
 )
-from .policies import Policy, SchedulerView, make_policy
+from .policies import CapacityProfile, Policy, SchedulerView, make_policy
 from .simtrace import SimTrace, TraceRecord
 from .workload import ClusterConfig, Job, Workload
 
@@ -150,6 +153,8 @@ class ForecasterConfig:
     def __post_init__(self):
         if self.tick <= 0 or self.horizon <= 0:
             raise ValueError("tick and horizon must be > 0")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
 
 
 @dataclass
@@ -163,6 +168,33 @@ class Telemetry:
     final_thresholds: Optional[ThresholdState] = None
     forecast_ticks: int = 0
     reservations_skipped: int = 0  # predictions whose window had no capacity
+
+
+def score_predictions(
+    patterns: Sequence[Pattern],
+    now: float,
+    horizon: float,
+    similarity: SimilarityParams,
+    mode: str,
+) -> list[tuple[PredictedJob, Pattern]]:
+    """Prolong the patterns over (now, now + horizon] and score each
+    prediction against its pattern's cohort; (scored prediction, pattern)
+    pairs in prolong order.  prolong, group_patterns and confidence_factor
+    are looked up here at call time because benchmarks/tracing.py wraps them.
+    """
+    preds = prolong(patterns, now, horizon)
+    if not preds:
+        return []
+    group_of = groups_by_pattern(group_patterns(patterns, similarity))
+    by_id = {p.pattern_id: p for p in patterns}
+    scored = []
+    for pred in preds:
+        pattern = by_id[pred.pattern_id]
+        conf = confidence_factor(
+            pattern.length + pred.steps_ahead, group_of[pred.pattern_id], mode
+        )
+        scored.append((with_confidence(pred, conf), pattern))
+    return scored
 
 
 def match_arrival(
@@ -422,26 +454,18 @@ class _Engine:
             self.mined = len(self.submitted)
             patterns = self.miner.patterns()
             if patterns:
-                preds = prolong(patterns, self.now, fc.horizon)
-                if preds:
-                    group_of = groups_by_pattern(group_patterns(patterns, fc.similarity))
-                    by_id = {p.pattern_id: p for p in patterns}
-                    for pred in preds:
-                        self._consider_prediction(pred, by_id, group_of)
+                for pred, pattern in score_predictions(
+                    patterns, self.now, fc.horizon, fc.similarity, fc.mode
+                ):
+                    self._consider_prediction(pred, pattern)
         if self.unfinished:
             self._push(self.now + fc.tick, _FORECAST, None)
 
-    def _consider_prediction(self, pred: PredictedJob, by_id, group_of) -> None:
-        fc = self.fc
-        pattern = by_id[pred.pattern_id]
-        conf = confidence_factor(
-            pattern.length + pred.steps_ahead, group_of[pred.pattern_id], fc.mode
-        )
-        pred = with_confidence(pred, conf)
+    def _consider_prediction(self, pred: PredictedJob, pattern: Pattern) -> None:
         width = min(_MATCH_WINDOW_FRAC * pattern.period, _MATCH_WINDOW_CAP)
         if self._duplicate_reservation(pred, width):
             return
-        decision = decide(conf, self.thresholds)
+        decision = decide(pred.confidence, self.thresholds)
         window_start = max(self.now, pred.predicted_submit - width)
         window_end = pred.predicted_submit + width
         if decision is not Decision.IGNORE and not self._window_feasible(
@@ -484,29 +508,23 @@ class _Engine:
         """Would holding `cpus` through [ws, we) ever exceed the cluster?
 
         Projects running jobs at their estimated finishes plus the live
-        capacity-holding reservations; queued jobs are ignored since planner
-        policies route around blocks.
+        capacity-holding reservations onto a capacity profile from ws;
+        queued jobs are ignored since planner policies route around blocks.
+        ws is not before now, so an overdue estimate holds nothing.
         """
-        points = {ws}
-        loads: list[tuple[float, float, int]] = []
-        for job, _start, est_finish in self.state.running.values():
-            fin = max(est_finish, self.now)
-            if fin > ws:
-                loads.append((ws, fin, job.cpus))
+        running = self.state.running.values()
+        loads = [(ws, fin, job.cpus) for job, _start, fin in running if fin > ws]
         for res in self.state.active_reservations.values():
-            if res.holds_capacity:
-                if res.window_end > ws and res.window_start < we:
-                    loads.append((max(res.window_start, ws), res.window_end, res.cpus))
-                    points.add(max(res.window_start, ws))
-        for t0, _t1, _c in loads:
-            points.add(t0)
-        for t in sorted(points):
-            if t >= we:
-                continue
-            busy = sum(c for t0, t1, c in loads if t0 <= t < t1)
-            if busy + cpus > self.state.total_cpus:
-                return False
-        return True
+            if res.holds_capacity and res.window_end > ws and res.window_start < we:
+                loads.append((max(res.window_start, ws), res.window_end, res.cpus))
+        deltas: dict[float, int] = {}
+        for t0, t1, held in loads:
+            deltas[t0] = deltas.get(t0, 0) - held
+            deltas[t1] = deltas.get(t1, 0) + held
+        # the profile starts at ws, where the loads that begin there are taken
+        profile = CapacityProfile(ws, self.state.total_cpus + deltas.get(ws, 0), deltas)
+        steps = bisect.bisect_left(profile.times, we)  # the steps that start before we
+        return min(profile.free[:steps], default=cpus) >= cpus
 
     # -- policy dispatch ----------------------------------------------------
 

@@ -1,13 +1,14 @@
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predictsched import fractional_gaussian_noise, workload_to_csv
+from predictsched import POLICY_TOKENS, fractional_gaussian_noise, workload_to_csv
 from predictsched.cli import main
 
-from conftest import make_job, make_workload
+from conftest import lifecycle_workload, make_job, make_workload, weekly_workload
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,6 +135,30 @@ class TestSimulate:
         }
         assert any(r["came_true"] == "1" for r in rows)
 
+    def test_policy_token_case_insensitive(self, periodic_csv, tmp_path):
+        # an upper-case DL token must still run the forecaster
+        outs = {}
+        for token in ("dl", "DL"):
+            trace, fb = tmp_path / f"{token}.csv", tmp_path / f"{token}-fb.csv"
+            rc = main(
+                [
+                    "simulate", "--workload", str(periodic_csv), "--cpus", "8",
+                    "--policy", token, "--out", str(trace), "--feedback-out", str(fb),
+                ]
+            )
+            assert rc == 0
+            outs[token] = (trace.read_bytes(), fb.read_bytes())
+        assert outs["DL"] == outs["dl"]
+        assert len(outs["dl"][1].splitlines()) > 1  # feedback rows past the header
+
+    def test_unknown_policy_exit_2(self, two_job_csv, capsys):
+        rc = main(
+            ["simulate", "--workload", str(two_job_csv), "--cpus", "1", "--policy", "bogus"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'bogus'" in err and "cons-bf" in err
+
     def test_dl_without_patterns_matches_cons_bf(self, two_job_csv, tmp_path):
         f1, f2 = tmp_path / "dl.csv", tmp_path / "cons.csv"
         rc = main(
@@ -189,6 +214,26 @@ class TestCompare:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.strip().endswith("winner\tsjf")
+
+    def test_policy_tokens_case_insensitive(self, periodic_csv, capsys):
+        reports = []
+        for tokens in ("fcfs,dl", "FCFS,Dl"):
+            rc = main(
+                ["compare", "--workload", str(periodic_csv), "--cpus", "8",
+                 "--policies", tokens]
+            )
+            assert rc == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_unknown_policy_exit_2(self, dominance_csv, capsys):
+        rc = main(
+            ["compare", "--workload", str(dominance_csv), "--cpus", "1",
+             "--policies", "fcfs,bogus"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown policy 'bogus'" in err and "pbs-pro" in err
 
     def test_too_few_policies_exit_2(self, dominance_csv, capsys):
         rc = main(
@@ -254,3 +299,53 @@ class TestForecast:
         # parsing normalizes the clock, so the last observed submit is
         # 7 * 86400 and the first prolongation lands one period later
         assert float(rows[0]["predicted_submit"]) == 8 * 86400
+
+
+def _write_csv(tmp_path, name, workload):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(workload_to_csv(workload))
+    return str(path)
+
+
+# sha256 of the stdout of each command: a change to any byte of these
+# reports fails here
+PINNED_STDOUT = {
+    "forecast-periodic": "482d1dcc514d69e4b037dc5628b9e123173e2f59352544a66ba94e376b113ce9",
+    "forecast-lifecycle-pdf": "9e23c9fb2eb3642d5e80ae4d3243c09eade70eb5c95b6c0b563f2148f5604416",
+    "forecast-weekly-any-user": "1d1b4c774843a68c5b1759fe4f5554a640bddf55ea389a899cb62bb4d63dadb3",
+    "matrix-table3": "942e366662b6ebf73f97a576b9f667ccb0b99d7a6dd17f8d19cfcfa52d72fe5b",
+    "matrix-table5": "3a9ab800f088a4c7e4c0ff62bb83c1cf7e168c707fc451620cb9e3ade358c65b",
+    "compare-degenerate": "f9e733e7ae4af0e8ed4edf98dd86850445cb0fa7c716214f3817627294422eed",
+    "compare-lifecycle-all": "d15925909a09318a34dbb1aee9858827ddfc7462fd1b786728d3ccc5488801d7",
+}
+
+
+def _pinned_argv(case, tmp_path):
+    if case == "forecast-periodic":
+        daily = [make_job(i + 1, 1000 + i * 86400, 3600, 4) for i in range(8)]
+        wl = _write_csv(tmp_path, "p", make_workload(*daily))
+        return ["forecast", "--workload", wl, "--horizon", "172800"]
+    if case == "forecast-lifecycle-pdf":
+        wl = _write_csv(tmp_path, "l", lifecycle_workload())
+        return ["forecast", "--workload", wl, "--horizon", "259200", "--mode", "pdf_normalized"]
+    if case == "forecast-weekly-any-user":
+        wl = _write_csv(tmp_path, "w", weekly_workload())
+        return ["forecast", "--workload", wl, "--horizon", "604800", "--any-user"]
+    if case.startswith("matrix-"):
+        return ["compare", "--matrix", str(DATA / f"{case[7:]}.tsv")]
+    if case == "compare-degenerate":
+        # fcfs and sjf share makespan and utilization on these two jobs
+        wl = _write_csv(tmp_path, "d", make_workload(make_job(1, 0, 10, 1), make_job(2, 0, 5, 1)))
+        return ["compare", "--workload", wl, "--cpus", "1", "--policies", "fcfs,sjf"]
+    wl = _write_csv(tmp_path, "l", lifecycle_workload())
+    # at 8 cpus the forecaster's reservations make `dl` differ from `cons-bf`
+    return ["compare", "--workload", wl, "--cpus", "8", "--t-low", "0.2", "--t-high", "0.6",
+            "--policies", ",".join(POLICY_TOKENS)]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_report_bytes_pinned(case, tmp_path, capsys):
+    rc = main(_pinned_argv(case, tmp_path))
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[case]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from predictsched import (
     ClusterConfig,
@@ -141,6 +142,11 @@ class TestEngineGuards:
         with pytest.raises(SimulationError, match="not queued"):
             run(wl, ClusterConfig(2), RoguePolicy("phantom"))
 
+    def test_unknown_forecaster_mode_rejected_at_construction(self):
+        # checked when the config is built, not at the first scored prediction
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            ForecasterConfig(mode="bogus")
+
     def test_runtime_vanishing_at_start_is_fatal(self):
         # job 2 waits until t = 2**53, where adding 1 s rounds back to t
         wl = make_workload(make_job(1, 0, 2.0**53, 1), make_job(2, 0, 1, 1))
@@ -280,6 +286,38 @@ class TestReservationScenarios:
         (res,) = tel.reservations
         assert res.state is ResState.CANCELLED
         assert tel.feedback == []
+        assert not capacity_breaches(trace)
+
+    def test_arrival_at_window_start_consumes_pending_hold(self, monkeypatch):
+        # the tick at 228000 predicts user 2 at 232400 with a hard hold over
+        # [228800, 236000); a matching job submitted at 228800 sorts before
+        # the hold's start event, so it consumes the reservation while it is
+        # still PENDING and the start event finds nothing left to hold
+        seen = []
+        on_res_start = _Engine._on_res_start
+
+        def recording(engine, res):
+            seen.append((engine.now, res.state))
+            on_res_start(engine, res)
+
+        monkeypatch.setattr(_Engine, "_on_res_start", recording)
+        early = make_job(500, 228800.0, 3600.0, 4, user=2)
+        fc = ForecasterConfig(
+            thresholds=ThresholdState(0.01, 0.02, min_gap=0.005),
+            tick=228000.0,
+            horizon=14400.0,
+        )
+        trace, tel = run_with_telemetry(
+            reservation_workload(extra=[early]), ClusterConfig(8), "dl", fc
+        )
+        (res,) = tel.reservations
+        assert res.decision is Decision.HARD_RESERVE
+        assert res.window_start == early.submit_time
+        assert res.state is ResState.CONSUMED
+        assert [ev.came_true for ev in tel.feedback] == [True]
+        assert seen == [(early.submit_time, ResState.CONSUMED)]
+        matched = next(r for r in trace.records if r.job_id == 500)
+        assert matched.start == matched.submit
         assert not capacity_breaches(trace)
 
     def test_reservations_deduplicated_across_ticks(self):
@@ -432,3 +470,74 @@ class TestNoLookahead:
                 (r.job_id, r.start) for r in part.records if r.start <= cutoff
             }
             assert full_starts == part_starts, token
+
+
+def sweep_window_feasible(engine, ws, we, cpus):
+    """The admission check as a sweep over the start points of the loads,
+    kept as the reference for _Engine._window_feasible."""
+    points = {ws}
+    loads = []
+    for job, _start, est_finish in engine.state.running.values():
+        fin = max(est_finish, engine.now)
+        if fin > ws:
+            loads.append((ws, fin, job.cpus))
+    for res in engine.state.active_reservations.values():
+        if res.holds_capacity:
+            if res.window_end > ws and res.window_start < we:
+                loads.append((max(res.window_start, ws), res.window_end, res.cpus))
+                points.add(max(res.window_start, ws))
+    for t0, _t1, _c in loads:
+        points.add(t0)
+    for t in sorted(points):
+        if t >= we:
+            continue
+        busy = sum(c for t0, t1, c in loads if t0 <= t < t1)
+        if busy + cpus > engine.state.total_cpus:
+            return False
+    return True
+
+
+# times on a coarse grid, so that windows, estimates and holds often touch
+_t = st.integers(0, 24).map(float)
+
+
+@st.composite
+def admission_cases(draw):
+    total = draw(st.integers(1, 12))
+    now = 24.0 + draw(_t)  # room for jobs and holds that began before now
+    engine = _Engine(make_workload(), ClusterConfig(total), make_policy("dl"), ForecasterConfig())
+    engine.now = now
+    for i in range(draw(st.integers(0, 5))):
+        cpus = draw(st.integers(1, total))
+        start = now - draw(_t)
+        est_finish = now + draw(st.integers(-24, 24))  # overdue when below now
+        engine.state.running[i] = (make_job(i + 1, start, 1.0, cpus), start, est_finish)
+    for res_id in range(draw(st.integers(0, 6))):
+        state = draw(st.sampled_from([ResState.PENDING, ResState.HELD]))
+        # a HELD window has opened; a PENDING one opens now or later
+        ws_r = now - draw(_t) if state is ResState.HELD else now + draw(_t)
+        we_r = ws_r + draw(_t)
+        pred = PredictedJob(pattern_id=res_id, predicted_submit=ws_r, cpus=1, runtime=1.0)
+        engine.state.active_reservations[res_id] = Reservation(
+            res_id=res_id,
+            prediction=pred,
+            cpus=draw(st.integers(1, total)),
+            window_start=ws_r,
+            window_end=we_r,
+            decision=draw(st.sampled_from(list(Decision))),
+            match_width=0.0,
+            state=state,
+        )
+    ws = now + draw(_t)
+    we = ws + draw(_t)
+    return engine, ws, we, draw(st.integers(1, total))
+
+
+class TestWindowFeasibleMatchesSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(admission_cases())
+    def test_profile_check_equals_sweep(self, case):
+        engine, ws, we, cpus = case
+        assert engine._window_feasible(ws, we, cpus) == sweep_window_feasible(
+            engine, ws, we, cpus
+        )
