@@ -7,6 +7,8 @@ structure: a user who runs multi-day course blocks that restart weekly
 submitting every 12 hours like clockwork.
 """
 
+from dataclasses import replace
+
 from predictsched import (
     Decision,
     SimilarityParams,
@@ -20,7 +22,6 @@ from predictsched import (
     prolong,
 )
 from predictsched.confidence import groups_by_pattern
-from predictsched.patterns import with_confidence
 from predictsched.workload import Job
 
 DAY = 86400.0
@@ -76,7 +77,7 @@ for pred in preds:
     pattern = next(p for p in patterns if p.pattern_id == pred.pattern_id)
     cohort = cohort_of[pred.pattern_id]
     c = confidence_factor(pattern.length + pred.steps_ahead, cohort)
-    scored.append(with_confidence(pred, c))
+    scored.append(replace(pred, confidence=c))
 
 print()
 for pred in scored:

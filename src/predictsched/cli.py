@@ -130,8 +130,10 @@ def cmd_simulate(args) -> int:
     policy = _policy_token(args.policy)
     workload = load_workload(args.workload, args.format)
     cluster = ClusterConfig(total_cpus=args.cpus)
-    forecaster = _forecaster_config(args) if policy == "dl" else None
-    trace, telemetry = run_with_telemetry(workload, cluster, policy, forecaster)
+    forecaster = _forecaster_config(args)
+    trace, telemetry = run_with_telemetry(
+        workload, cluster, policy, forecaster if policy == "dl" else None
+    )
     if args.out:
         Path(args.out).write_text(trace_to_csv(trace), encoding="utf-8")
         print(f"trace written to {args.out}")
@@ -162,10 +164,10 @@ def cmd_compare(args) -> int:
         raise CliError("compare needs --workload and --cpus", code=2)
     workload = load_workload(args.workload, args.format)
     cluster = ClusterConfig(total_cpus=args.cpus)
+    forecaster = _forecaster_config(args)
     values = []
     for token in policies:
-        forecaster = _forecaster_config(args) if token == "dl" else None
-        trace = run(workload, cluster, token, forecaster)
+        trace = run(workload, cluster, token, forecaster if token == "dl" else None)
         values.append(objectives(trace, cluster).as_tuple())
     values = np.array(values)
     raw_weights, _ = weights_from_binary_matrix(DEFAULT_BINARY_MATRIX)
@@ -199,6 +201,11 @@ def _add_forecast_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-layer", type=int, default=3)
     p.add_argument("--mode", choices=("survival", "pdf_normalized"), default="survival")
     p.add_argument("--horizon", type=float, default=86400.0)
+
+
+def _add_dl_args(p: argparse.ArgumentParser) -> None:
+    """The options of the `dl` policy's online forecaster beyond mining."""
+    _add_forecast_args(p)
     p.add_argument("--tick", type=float, default=86400.0)
     p.add_argument("--t-low", type=float, default=0.33)
     p.add_argument("--t-high", type=float, default=0.66)
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one policy and report objectives")
     _add_workload_args(p)
-    _add_forecast_args(p)
+    _add_dl_args(p)
     p.add_argument("--cpus", type=int, required=True)
     p.add_argument("--policy", required=True)
     p.add_argument("--out", default=None, help="trace CSV path")
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rank policies (or replay a stored matrix)")
     p.add_argument("--workload", default=None)
     p.add_argument("--format", choices=("swf", "csv"), default=None)
-    _add_forecast_args(p)
+    _add_dl_args(p)
     p.add_argument("--cpus", type=int, default=None)
     p.add_argument("--policies", default=None, help="comma-separated policy tokens")
     p.add_argument("--matrix", default=None, help="TSV matrix for eigenvector replay")

@@ -67,7 +67,10 @@ class Pattern:
     rep_runtime: float
     period: float
     occurrences: tuple[tuple[int, float], ...]  # (job id, submit time)
-    child_ids: tuple[int, ...] = ()
+
+    @property
+    def child_ids(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.occurrences) if self.layer > 1 else ()
 
     @property
     def length(self) -> int:
@@ -212,7 +215,6 @@ class _Chainer:
 
     def _pattern(self, pattern_id: int) -> Pattern:
         """The attempt's chain as a Pattern."""
-        rows = tuple(self.rows)
         return Pattern(
             pattern_id=pattern_id,
             layer=self.layer,
@@ -220,8 +222,7 @@ class _Chainer:
             rep_cpus=int(self.cpus[(len(self.cpus) - 1) // 2]),  # median_low
             rep_runtime=float(_median(self.runtimes)),
             period=float(_median(self.gaps)),
-            occurrences=rows,
-            child_ids=tuple(i for i, _ in rows) if self.layer > 1 else (),
+            occurrences=tuple(self.rows),
         )
 
     def patterns(self, start_id: int) -> list[Pattern]:
@@ -313,6 +314,8 @@ class PatternMiner:
     """
 
     def __init__(self, params: SimilarityParams = SimilarityParams(), max_layer: int = 3):
+        if max_layer < 1:
+            raise ValueError("max_layer must be >= 1")
         self.params = params
         self.max_layer = max_layer
         self._by_key: dict[int, list[_Cluster]] = {}
@@ -446,60 +449,44 @@ def prolong(
     """Extend each live pattern into (now, now + horizon].
 
     A pattern is live while its last occurrence is within _STALENESS_FACTOR
-    periods of now; beyond that it stops producing phantom arrivals.  Super
-    patterns spawn their most recent child chain's full occurrence block at
-    every predicted super-period tick.
+    periods of now; beyond that it stops producing phantom arrivals.  Every
+    predicted period tick repeats a block: a layer-1 pattern is its own block
+    with the single offset 0, and a super pattern repeats its most recent
+    child chain's full occurrence block, with the child's cpus and runtime.
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     by_id = {p.pattern_id: p for p in patterns}
+    end = now + horizon
     preds: list[PredictedJob] = []
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         last = p.last_time
         if now - last > _STALENESS_FACTOR * p.period:
             continue
-        if p.layer == 1:
-            k = 1
-            while True:
-                t = last + k * p.period
-                if t > now + horizon:
-                    break
-                if t > now:
+        block = p if p.layer == 1 else by_id.get(p.occurrences[-1][0])
+        if block is None:
+            continue
+        first = block.occurrences[0][1]
+        offsets = [0.0] if p.layer == 1 else [t - first for _, t in block.occurrences]
+        m = 1
+        while True:
+            t0 = last + m * p.period
+            if t0 > end:
+                break
+            for off in offsets:
+                t = t0 + off
+                if now < t <= end:
                     preds.append(
                         PredictedJob(
                             pattern_id=p.pattern_id,
                             predicted_submit=t,
-                            cpus=p.rep_cpus,
-                            runtime=p.rep_runtime,
+                            cpus=block.rep_cpus,
+                            runtime=block.rep_runtime,
                             user_id=p.user_id,
-                            steps_ahead=k,
+                            steps_ahead=m,
                         )
                     )
-                k += 1
-        else:
-            child = by_id.get(p.occurrences[-1][0])
-            if child is None:
-                continue
-            offsets = [t - child.occurrences[0][1] for _, t in child.occurrences]
-            m = 1
-            while True:
-                t0 = last + m * p.period
-                if t0 > now + horizon:
-                    break
-                for off in offsets:
-                    t = t0 + off
-                    if now < t <= now + horizon:
-                        preds.append(
-                            PredictedJob(
-                                pattern_id=p.pattern_id,
-                                predicted_submit=t,
-                                cpus=child.rep_cpus,
-                                runtime=child.rep_runtime,
-                                user_id=p.user_id,
-                                steps_ahead=m,
-                            )
-                        )
-                m += 1
+            m += 1
     preds.sort(key=lambda q: (q.predicted_submit, q.pattern_id))
     return preds
 
@@ -532,7 +519,3 @@ def predictions_to_csv(
             ]
         )
     return out.getvalue()
-
-
-def with_confidence(pred: PredictedJob, confidence: float) -> PredictedJob:
-    return replace(pred, confidence=confidence)

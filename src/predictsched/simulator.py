@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Collection, Optional, Sequence
 
 from .confidence import (
@@ -38,7 +38,6 @@ from .patterns import (
     mine_patterns,  # noqa: F401  not called here; benchmarks/tracing.py wraps this name
     prolong,
     reqs_match,
-    with_confidence,
 )
 from .policies import CapacityProfile, Policy, SchedulerView, make_policy
 from .simtrace import SimTrace, TraceRecord
@@ -155,6 +154,8 @@ class ForecasterConfig:
             raise ValueError("tick and horizon must be > 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
+        if self.max_layer < 1:
+            raise ValueError("max_layer must be >= 1")
 
 
 @dataclass
@@ -193,7 +194,7 @@ def score_predictions(
         conf = confidence_factor(
             pattern.length + pred.steps_ahead, group_of[pred.pattern_id], mode
         )
-        scored.append((with_confidence(pred, conf), pattern))
+        scored.append((replace(pred, confidence=conf), pattern))
     return scored
 
 

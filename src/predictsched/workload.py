@@ -109,14 +109,22 @@ def _sorted_jobs(jobs: Iterable[Job]) -> tuple[Job, ...]:
     return tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id)))
 
 
-def _build_workload(raw: list[tuple[int, dict]], source: str, dropped: int) -> Workload:
+def _build_workload(raw: list[tuple[int, dict]], source: str) -> Workload:
     """Jobs from (line number, Job fields) records, shifted so the earliest
-    submit is at 0; a record Job rejects becomes a ParseError naming its line."""
-    if not raw:
+    kept submit is at 0.  Records with nonpositive runtime or cpus are
+    dropped and counted; a kept record whose id a kept record already has,
+    or that Job rejects, is a ParseError naming its line."""
+    kept = [(lineno, r) for lineno, r in raw if r["runtime"] > 0 and r["cpus"] > 0]
+    if not kept:
         raise ParseError("empty workload")
-    t0 = min(r["submit_time"] for _lineno, r in raw)
+    seen: set[int] = set()
+    for lineno, r in kept:
+        if r["job_id"] in seen:
+            raise ParseError(f"line {lineno}: duplicate id {r['job_id']}")
+        seen.add(r["job_id"])
+    t0 = min(r["submit_time"] for _lineno, r in kept)
     jobs = []
-    for lineno, r in raw:
+    for lineno, r in kept:
         r["submit_time"] -= t0
         if r["deadline"] is not None:
             r["deadline"] -= t0
@@ -124,7 +132,8 @@ def _build_workload(raw: list[tuple[int, dict]], source: str, dropped: int) -> W
             jobs.append(Job(**r))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    return Workload(jobs=_sorted_jobs(jobs), source_name=source, dropped=dropped)
+    return Workload(jobs=_sorted_jobs(jobs), source_name=source,
+                    dropped=len(raw) - len(kept))
 
 
 # SWF data lines: 18 whitespace-separated fields.
@@ -142,13 +151,12 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
 
     Requested processors take precedence over allocated ones; the requested
     wall time becomes the runtime estimate when present, falling back to the
-    actual runtime.  Records with nonpositive runtime or processor count are
-    dropped (the count is kept on the result); a fractional id or processor
-    count, or an id that a kept record already has, is a ParseError.
+    actual runtime.  A fractional id or processor count is a ParseError.
+    Records are dropped and ids checked as in parse_csv: a record with
+    nonpositive runtime or processor count is dropped and counted, and an id
+    that a kept record already has is a ParseError.
     """
     raw: list[tuple[int, dict]] = []
-    dropped = 0
-    seen: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(";"):
@@ -169,21 +177,13 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
         if ints != given:
             name, value = next((n, g) for n, i, g in zip(_SWF_INT_NAMES, ints, given) if i != g)
             raise ParseError(f"line {lineno}: {name} must be an integer, got {value!r}")
-        runtime = vals[3]
-        cpus = requested if requested > 0 else alloc
-        if runtime <= 0 or cpus <= 0:
-            dropped += 1
-            continue
-        if job_id in seen:
-            raise ParseError(f"line {lineno}: duplicate id {job_id}")
-        seen.add(job_id)
-        req_time = vals[8]
+        runtime, req_time = vals[3], vals[8]
         raw.append((lineno, dict(
             job_id=job_id, user_id=user_id, group_id=group_id, submit_time=vals[1],
             runtime=runtime, runtime_estimate=req_time if req_time > 0 else runtime,
-            cpus=cpus, deadline=None,
+            cpus=requested if requested > 0 else alloc, deadline=None,
         )))
-    return _build_workload(raw, source_name, dropped)
+    return _build_workload(raw, source_name)
 
 
 _CSV_COLUMNS = (
@@ -198,7 +198,8 @@ _CSV_COLUMNS = (
 
 
 def parse_csv(text: str, source_name: str = "csv") -> Workload:
-    """Parse the package's CSV workload format (optional trailing deadline column)."""
+    """Parse the package's CSV workload format (optional trailing deadline
+    column); records are dropped and ids checked as in parse_swf."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise ParseError("empty workload")
@@ -207,38 +208,27 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
             raise ParseError(f"missing column '{col}'")
     has_deadline = "deadline" in reader.fieldnames
     raw: list[tuple[int, dict]] = []
-    dropped = 0
-    seen: set[int] = set()
     for lineno, row in enumerate(reader, start=2):
         try:
-            job_id = int(row["job_id"])
-            runtime = float(row["runtime"])
-            cpus = int(row["cpus"])
             rec = dict(
-                job_id=job_id,
+                job_id=int(row["job_id"]),
                 user_id=int(row["user_id"]),
                 group_id=int(row["group_id"]),
                 submit_time=float(row["submit_time"]),
-                runtime=runtime,
+                runtime=float(row["runtime"]),
                 runtime_estimate=float(row["runtime_estimate"]),
-                cpus=cpus,
+                cpus=int(row["cpus"]),
                 deadline=float(row["deadline"])
                 if has_deadline and row.get("deadline") not in (None, "")
                 else None,
             )
         except (TypeError, ValueError):
             raise ParseError(f"line {lineno}: non-numeric field") from None
-        times = rec["submit_time"] + runtime + rec["runtime_estimate"]
+        times = rec["submit_time"] + rec["runtime"] + rec["runtime_estimate"]
         if not math.isfinite(times + (rec["deadline"] or 0.0)):
             raise ParseError(f"line {lineno}: non-finite field")
-        if job_id in seen:
-            raise ParseError(f"line {lineno}: duplicate id {job_id}")
-        seen.add(job_id)
-        if runtime <= 0 or cpus <= 0:
-            dropped += 1
-            continue
         raw.append((lineno, rec))
-    return _build_workload(raw, source_name, dropped)
+    return _build_workload(raw, source_name)
 
 
 def workload_to_csv(workload: Workload) -> str:

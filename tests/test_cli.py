@@ -300,6 +300,27 @@ class TestForecast:
         # 7 * 86400 and the first prolongation lands one period later
         assert float(rows[0]["predicted_submit"]) == 8 * 86400
 
+    @pytest.mark.parametrize("option", ["--tick", "--t-low", "--t-high"])
+    def test_dl_only_options_exit_2(self, periodic_csv, option, capsys):
+        # the offline forecast has no ticks and makes no reservations
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--workload", str(periodic_csv), option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_layer", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["forecast"],
+    ["simulate", "--cpus", "8", "--policy", "dl"],
+    ["simulate", "--cpus", "8", "--policy", "fcfs"],
+    ["compare", "--cpus", "8", "--policies", "fcfs,dl"],
+], ids=["forecast", "simulate-dl", "simulate-fcfs", "compare"])
+def test_max_layer_below_one_exit_1(periodic_csv, command, max_layer, capsys):
+    rc = main([*command, "--workload", str(periodic_csv), "--max-layer", max_layer])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: max_layer must be >= 1\n"
+
 
 def _write_csv(tmp_path, name, workload):
     path = tmp_path / f"{name}.csv"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from predictsched import (
     Pattern,
     PatternMiner,
+    PredictedJob,
     SimilarityParams,
     SynthSpec,
     SynthTemplate,
@@ -139,6 +140,36 @@ class TestLayers:
         assert pat.period == 5 * DAY
 
 
+@st.composite
+def layered_patterns(draw):
+    """Layer-1 and layer-2/3 patterns on an integer clock, so that predicted
+    times land exactly on now and on now + horizon.  Ids are shuffled across
+    layers; a super pattern's occurrence ids may name no pattern (a missing
+    child) and its child's block may be wider than the horizon."""
+    n1, n_super = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    ids = draw(st.permutations(range(n1 + n_super)))
+    patterns = []
+    for k, pattern_id in enumerate(ids):
+        layer = 1 if k < n1 else draw(st.sampled_from([2, 3]))
+        times = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=4)))
+        if layer == 1:
+            occ_ids = range(100 * k, 100 * k + len(times))
+        else:
+            occ_ids = draw(st.lists(
+                st.integers(0, n1 + n_super + 1), min_size=len(times), max_size=len(times)
+            ))
+        patterns.append(Pattern(
+            pattern_id=pattern_id,
+            layer=layer,
+            user_id=draw(st.integers(0, 2)),
+            rep_cpus=draw(st.integers(1, 8)),
+            rep_runtime=600.0 * draw(st.integers(1, 4)),
+            period=float(draw(st.integers(1, 30))),
+            occurrences=tuple(zip(occ_ids, map(float, times))),
+        ))
+    return patterns
+
+
 class TestProlong:
     def test_single_step(self):
         (pat,) = detect_patterns(jobs_at([0, DAY, 2 * DAY]))
@@ -198,6 +229,60 @@ class TestProlong:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             prolong([], now=0, horizon=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(layered_patterns(), st.integers(0, 100), st.integers(1, 60))
+    def test_equals_two_loop_reference(self, patterns, now, horizon):
+        assert prolong(patterns, float(now), float(horizon)) == reference_prolong(
+            patterns, float(now), float(horizon)
+        )
+
+
+def reference_prolong(patterns, now, horizon):
+    """Reference prolongation with one emit loop per kind of pattern: layer 1
+    steps its own period, a super pattern repeats its most recent child's
+    occurrence block at every super-period tick."""
+    if horizon <= 0:
+        raise ValueError("horizon must be > 0")
+    by_id = {p.pattern_id: p for p in patterns}
+    preds = []
+    for p in sorted(patterns, key=lambda q: q.pattern_id):
+        last = p.last_time
+        if now - last > patterns_module._STALENESS_FACTOR * p.period:
+            continue
+        if p.layer == 1:
+            k = 1
+            while True:
+                t = last + k * p.period
+                if t > now + horizon:
+                    break
+                if t > now:
+                    preds.append(PredictedJob(
+                        pattern_id=p.pattern_id, predicted_submit=t, cpus=p.rep_cpus,
+                        runtime=p.rep_runtime, user_id=p.user_id, steps_ahead=k,
+                    ))
+                k += 1
+        else:
+            child = by_id.get(p.occurrences[-1][0])
+            if child is None:
+                continue
+            offsets = [t - child.occurrences[0][1] for _, t in child.occurrences]
+            m = 1
+            while True:
+                t0 = last + m * p.period
+                if t0 > now + horizon:
+                    break
+                for off in offsets:
+                    t = t0 + off
+                    if now < t <= now + horizon:
+                        preds.append(PredictedJob(
+                            pattern_id=p.pattern_id, predicted_submit=t,
+                            cpus=child.rep_cpus, runtime=child.rep_runtime,
+                            user_id=p.user_id, steps_ahead=m,
+                        ))
+                m += 1
+    preds.sort(key=lambda q: (q.predicted_submit, q.pattern_id))
+    return preds
 
 
 class TestInvariantsOnSynthetic:
@@ -306,6 +391,13 @@ class TestPatternMiner:
         with pytest.raises(ValueError):
             mine_patterns([])
 
+    @pytest.mark.parametrize("max_layer", [0, -1])
+    def test_max_layer_below_one_rejected(self, max_layer):
+        with pytest.raises(ValueError, match="max_layer must be >= 1"):
+            PatternMiner(max_layer=max_layer)
+        with pytest.raises(ValueError, match="max_layer must be >= 1"):
+            mine_patterns(jobs_at([0, DAY, 2 * DAY]), max_layer=max_layer)
+
 
 def reference_chains(cluster, params=SimilarityParams(), layer=1, start_id=0, span_of=None):
     """Reference greedy chaining, from scratch: it rebuilds the unclaimed
@@ -355,7 +447,6 @@ def reference_chains(cluster, params=SimilarityParams(), layer=1, start_id=0, sp
                     rep_runtime=float(statistics.median(j.runtime for j in chain)),
                     period=float(statistics.median(gaps)),
                     occurrences=tuple((j.job_id, j.submit_time) for j in chain),
-                    child_ids=tuple(j.job_id for j in chain) if layer > 1 else (),
                 )
             )
             next_id += 1

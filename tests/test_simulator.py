@@ -147,6 +147,11 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="unknown mode 'bogus'"):
             ForecasterConfig(mode="bogus")
 
+    @pytest.mark.parametrize("max_layer", [0, -1])
+    def test_max_layer_below_one_rejected_at_construction(self, max_layer):
+        with pytest.raises(ValueError, match="max_layer must be >= 1"):
+            ForecasterConfig(max_layer=max_layer)
+
     def test_runtime_vanishing_at_start_is_fatal(self):
         # job 2 waits until t = 2**53, where adding 1 s rounds back to t
         wl = make_workload(make_job(1, 0, 2.0**53, 1), make_job(2, 0, 1, 1))

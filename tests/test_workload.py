@@ -51,19 +51,6 @@ class TestParseSwf:
         assert [j.submit_time for j in wl] == [0, 50, 100]
         assert [j.job_id for j in wl] == [1, 3, 2]
 
-    def test_duplicate_id_reports_line(self):
-        text = "\n".join(
-            ["; header", swf_line(1, 0, 300, 4, 4, 600), swf_line(1, 50, 300, 4, 4, 600)]
-        )
-        with pytest.raises(ParseError, match="^line 3: duplicate id 1$"):
-            parse_swf(text)
-
-    def test_dropped_record_id_not_counted(self):
-        # a dropped record never joins the workload, so its id stays free
-        wl = parse_swf(swf_line(1, 0, -1, 4, 4, 600) + "\n" + swf_line(1, 50, 300, 4, 4, 600))
-        assert [j.job_id for j in wl] == [1]
-        assert wl.dropped == 1
-
     def test_requested_procs_win_over_allocated(self):
         wl = parse_swf(swf_line(1, 0, 100, 8, 4, 200))
         assert wl.jobs[0].cpus == 4
@@ -137,11 +124,6 @@ class TestParseCsv:
         assert (job.job_id, job.user_id, job.cpus) == (1, 7, 4)
         assert job.runtime == 300 and job.runtime_estimate == 600
 
-    def test_duplicate_id_rejected(self):
-        text = self.HEADER + "\n1,7,2,0,300,600,4\n1,7,2,50,300,600,4\n"
-        with pytest.raises(ParseError, match="duplicate id"):
-            parse_csv(text)
-
     def test_rows_out_of_order_are_sorted(self):
         text = self.HEADER + "\n2,7,2,500,300,600,4\n1,7,2,100,300,600,4\n"
         wl = parse_csv(text)
@@ -173,6 +155,42 @@ class TestParseCsv:
         text = self.HEADER + f"\n1,7,2,0,300,600,4\n2,7,2,1e17,{runtime},{estimate},4\n"
         with pytest.raises(ParseError, match="line 3: job 2: .* vanish"):
             parse_csv(text)
+
+
+def trace_text(fmt, rows):
+    """A trace in fmt whose records, (job id, submit, runtime, cpus), start
+    on line 2."""
+    if fmt == "swf":
+        return "; header\n" + "\n".join(swf_line(i, t, r, c, c, 600) for i, t, r, c in rows)
+    return TestParseCsv.HEADER + "".join(f"\n{i},7,2,{t},{r},600,{c}" for i, t, r, c in rows)
+
+
+PARSERS = {"swf": parse_swf, "csv": parse_csv}
+
+
+@pytest.mark.parametrize("fmt", sorted(PARSERS))
+class TestRecordRules:
+    """Both formats drop and reject records by the same rule."""
+
+    def test_duplicate_id_reports_line(self, fmt):
+        text = trace_text(fmt, [(1, 0, 300, 4), (1, 50, 300, 4)])
+        with pytest.raises(ParseError, match="^line 3: duplicate id 1$"):
+            PARSERS[fmt](text)
+
+    def test_dropped_record_id_not_counted(self, fmt):
+        # a dropped record never joins the workload, so its id stays free
+        wl = PARSERS[fmt](trace_text(fmt, [(1, 0, -1, 4), (1, 50, 300, 4)]))
+        assert [j.job_id for j in wl] == [1]
+        assert wl.dropped == 1
+
+    def test_dropped_record_reusing_a_kept_id_is_dropped(self, fmt):
+        wl = PARSERS[fmt](trace_text(fmt, [(1, 0, 300, 4), (1, 50, 300, 0)]))
+        assert [(j.job_id, j.submit_time) for j in wl] == [(1, 0)]
+        assert wl.dropped == 1
+
+    def test_all_records_dropped_is_empty(self, fmt):
+        with pytest.raises(ParseError, match="^empty workload$"):
+            PARSERS[fmt](trace_text(fmt, [(1, 0, 0, 4), (2, 50, 300, -1)]))
 
 
 class TestJob:
