@@ -152,6 +152,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.matrix:
+        defaults = vars(build_parser().parse_args(["compare"]))
+        given = [k for k, v in vars(args).items() if k != "matrix" and v != defaults[k]]
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise CliError(f"--matrix takes no replay options, got {flags}", code=2)
         matrix, names = load_matrix_tsv(_read_file(args.matrix))
         names = names or [f"alg{i}" for i in range(matrix.shape[0])]
         sys.stdout.write(render_matrix(names, matrix, principal_eigenvector(matrix)))

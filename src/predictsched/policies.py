@@ -8,7 +8,8 @@ of running jobs, plus any hard reservation windows the engine passes in.
 Planning always uses the user's runtime estimate; the engine fires actual
 finishes, which re-invokes the policy, so early completions are exploited
 immediately.  The planners keep their plan between calls and reuse it only
-while the fresh profile shows that it still holds (see Planner).
+while the fresh profile shows that it still holds and, for best-gap, until
+the gap holding now could become a waiting job's best fit (see Planner).
 """
 
 from __future__ import annotations
@@ -259,7 +260,9 @@ class Planner(Policy):
       2. the queue starts with the jobs that call left waiting, in order;
       3. the fresh profile has exactly the steps of that call's fresh profile,
          with the jobs it started carved out, advanced to now;
-      4. no kept placement is before now.
+      4. no kept placement is before now;
+      5. now is before the plan's holds-until time, which _place may lower
+         (only BestGap does; see GapPolicy).
     Otherwise it plans afresh, which is the same loop with nothing kept.
     Reuse is exact: a placement is the earliest suitable start at or after
     now, so with the profile from now on unchanged each waiting job gets its
@@ -270,13 +273,13 @@ class Planner(Policy):
     placing one job again does.
     """
 
-    _keeps_plan = True
     _prefix_only = False  # keep only when the started jobs lead the queue
 
     def __init__(self):
         # (now, fresh profile with the starts carved out, plan profile,
         #  waiting jobs, their placements, the earliest of those)
         self._kept = None
+        self._holds_until = math.inf  # _place may lower it; see GapPolicy
         self._last: tuple[tuple[Job, ...], list[float]] = ((), [])
 
     @property
@@ -294,14 +297,16 @@ class Planner(Policy):
         if kept is not None:
             self._kept = None
             t0, base, plan, waiting, planned, earliest = kept
-            if now < t0 or earliest < now or queue[:len(waiting)] != waiting:
+            if (now < t0 or earliest < now or now >= self._holds_until
+                    or queue[:len(waiting)] != waiting):
                 kept = None
             else:
                 base.advance(now)
                 if base.times != fresh.times or base.free != fresh.free:
                     kept = None
         if kept is None:
-            plan = fresh.copy() if self._keeps_plan and len(queue) > 1 else fresh
+            self._holds_until = math.inf
+            plan = fresh.copy() if len(queue) > 1 else fresh
             planned, starts, tail = [], [], queue
         else:
             plan.advance(now)
@@ -398,15 +403,27 @@ class GapPolicy(Planner):
 
     A gap is a maximal constant-capacity rectangle of the profile.  ESG
     takes the earliest gap wide and long enough; BestGap minimizes leftover
-    (cpus slack, then duration slack), earliest among equals.  ESG reuses
-    its kept plan (see Planner) only after a call whose started jobs led
+    (cpus slack, then duration slack), earliest among equals.  Both reuse
+    their kept plan (see Planner) only after a call whose started jobs led
     the queue, because a job started from behind a waiting one can split
-    that job's gap.  BestGap plans afresh at every call, because the gap
-    holding now shrinks as time passes and can become the best fit.  The
-    engine makes no call when the queue is empty, so last_placements keeps
-    the last non-empty plan.
+    that job's gap.
+
+    With the profile unchanged, one gap differs between BestGap's kept plan
+    and a fresh one: the gap holding now, cut to start at now, with its
+    level and end kept.  Gaps that ended vanish, which cannot change a
+    choice.  The cut gap displaces a job's chosen gap g only if it is at g's
+    level, qualified when the job was placed, and is now no longer than g
+    (the earlier gap wins a tie).  So each placement bounds the plan's
+    holds-until time (see Planner) by the end of the first qualifying gap
+    at g's level, when that gap precedes g, minus g's length, rounded down
+    so that the float steps of the scan cannot tie sooner.  Later gaps at
+    that level end later, so a now inside one is past the bound already.
+    ESG takes the first suitable gap, which time passing cannot undercut,
+    and sets no bound.  The engine makes no call when the queue is empty,
+    so last_placements keeps the last non-empty plan.
     """
 
+    _prefix_only = True
     _best = False
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
@@ -439,18 +456,27 @@ class GapPolicy(Planner):
             # an equal slack pair never displaces the earlier gap
             slack_cpus, slack_len = level - cpus, length - estimate
             if slack_cpus < best_cpus or (slack_cpus == best_cpus and slack_len < best_len):
+                if slack_cpus < best_cpus:
+                    # the first qualifying gap at this level: an earlier one
+                    # would have been chosen over the wider gap chosen before
+                    first_end = times[i] if i < n else math.inf
                 best_start, best_cpus, best_len = start, slack_cpus, slack_len
+        if best_start is not None and first_end <= best_start:
+            # that first gap, cut to start at now, ties with the chosen one
+            # once now reaches first_end - (estimate + best_len); one float
+            # step up in each sum keeps the bound at or below that now
+            up = math.nextafter
+            tie = first_end - up(estimate + up(best_len, math.inf), math.inf)
+            self._holds_until = min(self._holds_until, tie)
         return best_start
 
 
 class EarliestSuitableGap(GapPolicy):
     name = "esg"
-    _prefix_only = True
 
 
 class BestGap(GapPolicy):
     name = "best-gap"
-    _keeps_plan = False
     _best = True
 
 

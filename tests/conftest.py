@@ -152,6 +152,30 @@ def underestimate_workload() -> Workload:
     )
 
 
+def saturated_workload() -> Workload:
+    """Ten periodic users plus 80 background jobs a day over 3 days (310 jobs):
+    on 24 cpus the offered load is above 90 % and the queue keeps growing,
+    so the planners carry plans of 50 to 80 jobs."""
+    users = (  # (user, cpus, runtime, period, offset)
+        (1, 2, 1800, DAY / 4, 0), (2, 4, 3600, DAY / 4, 2000),
+        (3, 8, 7200, DAY / 2, 4000), (4, 4, 3600, DAY / 2, 6000),
+        (5, 16, 10800, DAY, 8000), (6, 2, 1800, DAY, 10000),
+        (7, 4, 3600, DAY, 12000), (8, 8, 5400, DAY / 2, 14000),
+        (9, 2, 2700, DAY / 4, 16000), (10, 4, 3600, DAY, 18000),
+    )
+    horizon = 3 * DAY
+    templates = tuple(
+        SynthTemplate(user_id=u, cpus=c, runtime=rt, period=period, offset=off,
+                      count=int(horizon // period) + 1, submit_jitter=0.01)
+        for u, c, rt, period, off in users
+    )
+    wl, _ = synth_workload(
+        SynthSpec(horizon=horizon, templates=templates, background_rate=80 / DAY),
+        seed=7,
+    )
+    return wl
+
+
 def enumerate_instances(max_jobs: int = 5):
     """Every small workload used by the backfilling correctness gate.
 

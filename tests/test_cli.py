@@ -193,6 +193,20 @@ class TestCompare:
         assert rc == 0
         assert "winner\tTabuSearch" in out
 
+    @pytest.mark.parametrize("extra", [
+        ["--workload", "w.csv"], ["--format", "swf"], ["--cpus", "4"],
+        ["--policies", "fcfs,sjf"], ["--tick", "3600"], ["--any-user"],
+    ])
+    def test_matrix_rejects_replay_options(self, extra, capsys):
+        rc = main(["compare", "--matrix", str(DATA / "table3.tsv"), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --matrix takes no replay options, got {extra[0]}\n"
+
+    def test_matrix_accepts_dl_options_at_their_defaults(self, capsys):
+        rc = main(["compare", "--matrix", str(DATA / "table3.tsv"), "--tick", "86400"])
+        assert rc == 0
+        assert "winner\tDL" in capsys.readouterr().out
+
     def test_dominating_policy_wins(self, dominance_csv, capsys):
         rc = main(
             [

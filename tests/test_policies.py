@@ -23,6 +23,7 @@ from conftest import (
     enumerate_instances,
     make_job,
     make_workload,
+    saturated_workload,
     weekly_workload,
 )
 
@@ -442,6 +443,71 @@ class FreshChecked(Policy):
         return got
 
 
+class TestBestGapKeptPlan:
+    """Best-gap keeps its plan only until the gap holding now could tie
+    with a waiting job's chosen gap.
+
+    On 4 cpus a runner holds 3 until t=10 and a hard window 3 on [20, 26):
+    one-cpu gaps [0, 10) and [20, 26).  A (1 cpu, 5 s) waits for the tighter
+    [20, 26); B (4 cpus, 100 s) goes to t=26.  From t=4 on, the gap holding
+    now is no longer than A's, so the earlier one wins.
+    """
+
+    runner = ((make_job(9, 0, 10, 3, estimate=10), 0.0, 10.0),)
+    hard = ((20.0, 26.0, 3),)
+    a = make_job(1, 0, 5, 1, estimate=5)
+    b = make_job(2, 0, 100, 4, estimate=100)
+
+    def _view(self, now, queue):
+        return view(now=now, total=4, free=1, queue=queue, running=self.runner, hard=self.hard)
+
+    def _planned(self):
+        policy = make_policy("best-gap")
+        assert policy.select(self._view(0.0, [self.a, self.b])) == []
+        assert policy.last_placements == {1: 20.0, 2: 26.0}
+        placed = []
+        place = policy._place
+        policy._place = lambda profile, job: placed.append(job.job_id) or place(profile, job)
+        return policy, placed
+
+    def test_replans_once_the_gap_holding_now_ties(self):
+        policy, _placed = self._planned()
+        later = self._view(4.0, [self.a, self.b])  # [4, 10) is as long as [20, 26)
+        fresh = make_policy("best-gap")
+        want = fresh.select(later)
+        assert want == [self.a]
+        assert policy.select(later) == want
+        assert policy.last_placements == fresh.last_placements
+
+    def test_reuses_the_plan_before_the_tie(self):
+        policy, placed = self._planned()
+        c = make_job(3, 2, 1, 1, estimate=1)
+        later = self._view(3.0, [self.a, self.b, c])
+        fresh = make_policy("best-gap")
+        assert policy.select(later) == fresh.select(later) == []
+        assert placed == [3]  # only the job that joined
+        assert policy.last_placements == fresh.last_placements == {1: 20.0, 2: 26.0, 3: 25.0}
+
+    def test_float_rounding_cannot_delay_the_replan(self):
+        # the same shape in decimals: [0, 5) against [10, 13.7) for a 3.2 s
+        # job.  5 - (3.2 + slack) rounds up past the now just below it, at
+        # which the float steps of _place already tie
+        runner = ((make_job(9, 0, 5, 3, estimate=5), 0.0, 5.0),)
+        a = make_job(1, 0, 3.2, 1, estimate=3.2)
+        slack = (13.7 - 10.0) - 3.2
+        tie = math.nextafter(5.0 - (3.2 + slack), -math.inf)
+        first, later = (
+            view(now=now, total=4, free=1, queue=[a, self.b], running=runner,
+                 hard=((10.0, 13.7, 3),))
+            for now in (0.0, tie)
+        )
+        policy = make_policy("best-gap")
+        assert policy.select(first) == []
+        assert policy.last_placements == {1: 10.0, 2: 13.7}
+        assert make_policy("best-gap").select(later) == [a]
+        assert policy.select(later) == [a]
+
+
 # runtimes and submit gaps on small grids, so that finishes, estimates and
 # submits often fall on the same instant; a gap of 0 is a burst
 _runtimes = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 60.0])
@@ -519,6 +585,12 @@ class TestKeptPlanMatchesFresh:
             checked = FreshChecked(make_policy(token))
             run(wl, cluster, checked)
             assert checked.calls > 0
+
+    @pytest.mark.parametrize("token", ["esg", "best-gap"])
+    def test_gap_policies_on_a_saturated_trace(self, token):
+        checked = FreshChecked(make_policy(token))
+        run(saturated_workload(), ClusterConfig(24), checked)
+        assert checked.calls > 500
 
     @settings(max_examples=40, deadline=None)
     @given(random_workloads())
