@@ -115,8 +115,9 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-def _forecaster_config(args) -> ForecasterConfig:
-    return ForecasterConfig(
+def _forecaster_config(args, policies: list[str]) -> ForecasterConfig | None:
+    """The checked config, or None without `dl`, whose options then keep their defaults."""
+    config = ForecasterConfig(
         similarity=_similarity(args),
         thresholds=ThresholdState(t_low=args.t_low, t_high=args.t_high),
         mode=args.mode,
@@ -124,16 +125,28 @@ def _forecaster_config(args) -> ForecasterConfig:
         horizon=args.horizon,
         max_layer=args.max_layer,
     )
+    if "dl" in policies:
+        return config
+    _reject_given(args, _add_dl_args, "dl options need the dl policy")
+    return None
+
+
+def _reject_given(args, add_args, context: str) -> None:
+    """Exit 2 when args holds, away from its default, any option add_args defines."""
+    bare = argparse.ArgumentParser(add_help=False)
+    add_args(bare)
+    given = [k for k, v in vars(bare.parse_args([])).items() if getattr(args, k) != v]
+    if given:
+        flags = ", ".join("--" + k.replace("_", "-") for k in given)
+        raise CliError(f"{context}, got {flags}", code=2)
 
 
 def cmd_simulate(args) -> int:
     policy = _policy_token(args.policy)
     workload = load_workload(args.workload, args.format)
     cluster = ClusterConfig(total_cpus=args.cpus)
-    forecaster = _forecaster_config(args)
-    trace, telemetry = run_with_telemetry(
-        workload, cluster, policy, forecaster if policy == "dl" else None
-    )
+    forecaster = _forecaster_config(args, [policy])
+    trace, telemetry = run_with_telemetry(workload, cluster, policy, forecaster)
     if args.out:
         Path(args.out).write_text(trace_to_csv(trace), encoding="utf-8")
         print(f"trace written to {args.out}")
@@ -152,11 +165,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.matrix:
-        defaults = vars(build_parser().parse_args(["compare"]))
-        given = [k for k, v in vars(args).items() if k != "matrix" and v != defaults[k]]
-        if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in given)
-            raise CliError(f"--matrix takes no replay options, got {flags}", code=2)
+        _reject_given(args, _add_replay_args, "--matrix takes no replay options")
         matrix, names = load_matrix_tsv(_read_file(args.matrix))
         names = names or [f"alg{i}" for i in range(matrix.shape[0])]
         sys.stdout.write(render_matrix(names, matrix, principal_eigenvector(matrix)))
@@ -169,7 +178,7 @@ def cmd_compare(args) -> int:
         raise CliError("compare needs --workload and --cpus", code=2)
     workload = load_workload(args.workload, args.format)
     cluster = ClusterConfig(total_cpus=args.cpus)
-    forecaster = _forecaster_config(args)
+    forecaster = _forecaster_config(args, policies)
     values = []
     for token in policies:
         trace = run(workload, cluster, token, forecaster if token == "dl" else None)
@@ -216,6 +225,15 @@ def _add_dl_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-high", type=float, default=0.66)
 
 
+def _add_replay_args(p: argparse.ArgumentParser) -> None:
+    """The options of `compare` when it replays a workload."""
+    p.add_argument("--workload", default=None)
+    p.add_argument("--format", choices=("swf", "csv"), default=None)
+    _add_dl_args(p)
+    p.add_argument("--cpus", type=int, default=None)
+    p.add_argument("--policies", default=None, help="comma-separated policy tokens")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predictsched",
@@ -252,11 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="rank policies (or replay a stored matrix)")
-    p.add_argument("--workload", default=None)
-    p.add_argument("--format", choices=("swf", "csv"), default=None)
-    _add_dl_args(p)
-    p.add_argument("--cpus", type=int, default=None)
-    p.add_argument("--policies", default=None, help="comma-separated policy tokens")
+    _add_replay_args(p)
     p.add_argument("--matrix", default=None, help="TSV matrix for eigenvector replay")
     p.set_defaults(func=cmd_compare)
 

@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .patterns import Pattern, PredictedJob, SimilarityParams, _median, reqs_match
+from .patterns import Pattern, PredictedJob, SimilarityParams, _Group, _median
 
 MODES = ("survival", "pdf_normalized")
 _PERIOD_RATIO_TOL = 0.25
@@ -53,35 +53,26 @@ def _make_group(member_ids: Sequence[int], lengths: Sequence[int]) -> PatternGro
     )
 
 
-class _Cohort:
-    """A group being built: its members with sorted period, cpus and runtime
-    lists, whose medians _median reads with statistics.median's arithmetic."""
+class _Cohort(_Group):
+    """A group of patterns being built, all of one layer, with a sorted
+    period list beside the requirement lists."""
 
-    __slots__ = ("layer", "members", "periods", "cpus", "runtimes")
+    __slots__ = ("layer", "periods")
 
     def __init__(self, p: Pattern):
+        super().__init__(p, p.rep_cpus, p.rep_runtime)
         self.layer = p.layer
-        self.members = [p]
         self.periods = [p.period]
-        self.cpus = [p.rep_cpus]
-        self.runtimes = [p.rep_runtime]
 
     def admits(self, p: Pattern, req_params: SimilarityParams) -> bool:
+        # layer and period first: most cohorts fail them, at no extra call
         if self.layer != p.layer:
             return False
         med_period = _median(self.periods)
         lo, hi = min(p.period, med_period), max(p.period, med_period)
         if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
             return False
-        return reqs_match(
-            p.rep_cpus, _median(self.cpus), p.rep_runtime, _median(self.runtimes), req_params
-        )
-
-    def add(self, p: Pattern) -> None:
-        self.members.append(p)
-        bisect.insort(self.periods, p.period)
-        bisect.insort(self.cpus, p.rep_cpus)
-        bisect.insort(self.runtimes, p.rep_runtime)
+        return self.matches_reqs(p.rep_cpus, p.rep_runtime, req_params)
 
 
 def group_patterns(
@@ -100,7 +91,8 @@ def group_patterns(
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         for cohort in cohorts:
             if cohort.admits(p, req_params):
-                cohort.add(p)
+                cohort.add(p, p.rep_cpus, p.rep_runtime)
+                bisect.insort(cohort.periods, p.period)
                 break
         else:
             cohorts.append(_Cohort(p))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -111,6 +112,26 @@ def _median(ordered: list) -> float:
     return ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
 
 
+class _Group:
+    """A requirement cluster, chain attempt or confidence cohort being built:
+    members in joining order, and sorted cpus and runtime lists for the
+    running medians, read with statistics.median's arithmetic."""
+
+    __slots__ = ("members", "cpus", "runtimes")
+
+    def __init__(self, member, cpus: int, runtime: float):
+        self.members, self.cpus, self.runtimes = [member], [cpus], [runtime]
+
+    def add(self, member, cpus: int, runtime: float) -> None:
+        self.members.append(member)
+        bisect.insort(self.cpus, cpus)
+        bisect.insort(self.runtimes, runtime)
+
+    def matches_reqs(self, cpus: int, runtime: float, params: SimilarityParams) -> bool:
+        """Do (cpus, runtime) agree with the members' medians within tolerance?"""
+        return reqs_match(cpus, _median(self.cpus), runtime, _median(self.runtimes), params)
+
+
 class _Chainer:
     """Greedy layer-1 (or higher) chaining over members that grow at the end.
 
@@ -119,9 +140,9 @@ class _Chainer:
     gave up on; `avail[0]` anchors the attempt in progress.  While `partner`
     is 0 the attempt scans avail[next:] for the first member whose gap from
     the anchor qualifies.  From then on its chain is the anchor plus
-    avail[partner:next], with sorted gaps, cpus and runtimes for the medians
-    and its occurrence rows, and it grows while the next member's gap from
-    the tail stays within the jitter bound of the median gap.
+    avail[partner:next]: a group of occurrence rows, with the sorted gaps
+    beside it, that grows while the next member's gap from the tail stays
+    within the jitter bound of the median gap.
 
     An attempt that breaks on a member already present ends the same way
     whatever arrives later, so it is closed for good: its chain is claimed,
@@ -130,7 +151,7 @@ class _Chainer:
     """
 
     __slots__ = ("params", "layer", "span_of", "start", "done", "avail",
-                 "partner", "next", "gaps", "cpus", "runtimes", "rows", "_chains")
+                 "partner", "next", "gaps", "chain", "_chains")
 
     def __init__(
         self,
@@ -150,9 +171,7 @@ class _Chainer:
         self.next = 1  # the next index of avail the attempt examines
         # the attempt's chain, once it has a partner
         self.gaps: list[float] = []
-        self.cpus: list[int] = []
-        self.runtimes: list[float] = []
-        self.rows: list[tuple[int, float]] = []
+        self.chain: Optional[_Group] = None
 
     def feed(self, jobs: Sequence[Job]) -> None:
         """Append members, none before the last one, and chain as far as they allow."""
@@ -179,11 +198,10 @@ class _Chainer:
                 partner = avail[k]
                 self.partner = k
                 self.gaps = [partner.submit_time - t0]
-                self.cpus = sorted((anchor.cpus, partner.cpus))
-                self.runtimes = sorted((anchor.runtime, partner.runtime))
-                self.rows = [(anchor.job_id, t0), (partner.job_id, partner.submit_time)]
+                self.chain = _Group((anchor.job_id, t0), anchor.cpus, anchor.runtime)
+                self.chain.add((partner.job_id, partner.submit_time), partner.cpus, partner.runtime)
                 k += 1
-            gaps, cpus, runtimes, rows = self.gaps, self.cpus, self.runtimes, self.rows
+            gaps, chain = self.gaps, self.chain
             tail = avail[k - 1]
             while k < n:
                 job = avail[k]
@@ -196,16 +214,14 @@ class _Chainer:
                 ):
                     break
                 bisect.insort(gaps, gap)
-                bisect.insort(cpus, job.cpus)
-                bisect.insort(runtimes, job.runtime)
-                rows.append((job.job_id, job.submit_time))
+                chain.add((job.job_id, job.submit_time), job.cpus, job.runtime)
                 tail = job
                 k += 1
             self.next = k
             if k == n:
                 return  # waiting for the next member
             # the chain broke on avail[k]: claim it, or give up on its anchor
-            if len(rows) >= self.params.min_occurrences:
+            if len(chain.members) >= self.params.min_occurrences:
                 self.done.append(self._pattern(self.start + len(self.done)))
                 avail[:k] = avail[1 : self.partner]  # the anchor's skips stay
             else:
@@ -215,14 +231,15 @@ class _Chainer:
 
     def _pattern(self, pattern_id: int) -> Pattern:
         """The attempt's chain as a Pattern."""
+        chain = self.chain
         return Pattern(
             pattern_id=pattern_id,
             layer=self.layer,
             user_id=self.avail[0].user_id,
-            rep_cpus=int(self.cpus[(len(self.cpus) - 1) // 2]),  # median_low
-            rep_runtime=float(_median(self.runtimes)),
+            rep_cpus=int(chain.cpus[(len(chain.cpus) - 1) // 2]),  # median_low
+            rep_runtime=float(_median(chain.runtimes)),
             period=float(_median(self.gaps)),
-            occurrences=tuple(self.rows),
+            occurrences=tuple(chain.members),
         )
 
     def patterns(self, start_id: int) -> list[Pattern]:
@@ -245,7 +262,7 @@ class _Chainer:
         chains = list(self.done)
         tail = self
         while True:
-            if tail.partner and len(tail.rows) >= self.params.min_occurrences:
+            if tail.partner and len(tail.chain.members) >= self.params.min_occurrences:
                 chains.append(tail._pattern(start_id + len(chains)))
                 rest = tail.avail[1 : tail.partner]
             else:
@@ -263,33 +280,21 @@ def _renumbered(patterns: list[Pattern], start_id: int) -> list[Pattern]:
     return [replace(p, pattern_id=start_id + k) for k, p in enumerate(patterns)]
 
 
-class _Cluster:
-    """One requirement cluster: members in submit order, sorted requirement
-    lists for the running medians, and the chaining state of its members.
+class _Cluster(_Group):
+    """One requirement cluster: a group of jobs in submit order, and the
+    chaining state of its members.
 
     `fed` counts the members handed to the chainer; the rest are the jobs
     the cluster gained since the last chains() call.  The chainer is made
     by the first call, so clustering alone (group_similar_jobs) makes none.
     """
 
-    __slots__ = ("members", "cpus", "runtimes", "chainer", "fed")
+    __slots__ = ("chainer", "fed")
 
     def __init__(self, job: Job):
-        self.members = [job]
-        self.cpus = [job.cpus]
-        self.runtimes = [job.runtime]
+        super().__init__(job, job.cpus, job.runtime)
         self.chainer: Optional[_Chainer] = None
         self.fed = 0
-
-    def matches(self, job: Job, params: SimilarityParams) -> bool:
-        return reqs_match(
-            job.cpus, _median(self.cpus), job.runtime, _median(self.runtimes), params
-        )
-
-    def add(self, job: Job) -> None:
-        self.members.append(job)
-        bisect.insort(self.cpus, job.cpus)
-        bisect.insort(self.runtimes, job.runtime)
 
     def chains(self, start_id: int, params: SimilarityParams) -> list[Pattern]:
         """The cluster's layer-1 chains, numbered from start_id."""
@@ -333,8 +338,8 @@ class PatternMiner:
             key = job.user_id if self.params.same_user else 0
             clusters = self._by_key.setdefault(key, [])
             for cluster in clusters:
-                if cluster.matches(job, self.params):
-                    cluster.add(job)
+                if cluster.matches_reqs(job.cpus, job.runtime, self.params):
+                    cluster.add(job, job.cpus, job.runtime)
                     break
             else:
                 clusters.append(_Cluster(job))
@@ -454,8 +459,9 @@ def prolong(
     with the single offset 0, and a super pattern repeats its most recent
     child chain's full occurrence block, with the child's cpus and runtime.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    if not (horizon > 0 and math.isfinite(now + horizon)):
+        # a NaN or infinite end would never stop the emit loop below
+        raise ValueError("now and horizon must be finite, and horizon > 0")
     by_id = {p.pattern_id: p for p in patterns}
     end = now + horizon
     preds: list[PredictedJob] = []

@@ -41,17 +41,3 @@ def trace_to_csv(trace: SimTrace) -> str:
                          fmt_seconds(r.finish), r.cpus])
     return out.getvalue()
 
-
-def trace_from_csv(text: str, cluster: ClusterConfig, policy_name: str = "") -> SimTrace:
-    reader = csv.DictReader(io.StringIO(text))
-    records = tuple(
-        TraceRecord(
-            job_id=int(row["job_id"]),
-            submit=float(row["submit"]),
-            start=float(row["start"]),
-            finish=float(row["finish"]),
-            cpus=int(row["cpus"]),
-        )
-        for row in reader
-    )
-    return SimTrace(records=records, cluster=cluster, policy_name=policy_name)

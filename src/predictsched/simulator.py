@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import enum
 import heapq
+import math
 from dataclasses import dataclass, field, replace
 from typing import Collection, Optional, Sequence
 
@@ -150,8 +151,8 @@ class ForecasterConfig:
     max_layer: int = 3
 
     def __post_init__(self):
-        if self.tick <= 0 or self.horizon <= 0:
-            raise ValueError("tick and horizon must be > 0")
+        if not (0 < self.tick < math.inf and 0 < self.horizon < math.inf):
+            raise ValueError("tick and horizon must be finite and > 0")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode '{self.mode}'; expected one of {MODES}")
         if self.max_layer < 1:

@@ -107,6 +107,32 @@ class TestSimulate:
         rows = list(csv.DictReader(out_file.open()))
         assert [r["start"] for r in rows] == ["0", "10"]
 
+    @pytest.mark.parametrize("extra", [
+        ["--tick", "5"], ["--any-user"], ["--horizon", "7"], ["--t-low", "0.1"],
+        ["--mode", "pdf_normalized"],
+    ])
+    def test_dl_options_without_dl_exit_2(self, two_job_csv, extra, capsys):
+        rc = main(["simulate", "--workload", str(two_job_csv), "--cpus", "1",
+                   "--policy", "fcfs", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: dl options need the dl policy, got {extra[0]}\n"
+        )
+
+    def test_dl_options_without_dl_listed_together(self, two_job_csv, capsys):
+        rc = main(["simulate", "--workload", str(two_job_csv), "--cpus", "1",
+                   "--policy", "SJF", "--tick", "5", "--any-user", "--horizon", "7"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: dl options need the dl policy, got --any-user, --horizon, --tick\n"
+        )
+
+    def test_dl_options_at_their_defaults_accepted_without_dl(self, two_job_csv, capsys):
+        rc = main(["simulate", "--workload", str(two_job_csv), "--cpus", "1",
+                   "--policy", "fcfs", "--tick", "86400", "--t-low", "0.33"])
+        assert rc == 0
+        assert "makespan:    15" in capsys.readouterr().out
+
     def test_edf_trace_file_identical_to_fcfs(self, periodic_csv, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for policy, out in (("edf", f1), ("fcfs", f2)):
@@ -206,6 +232,21 @@ class TestCompare:
         rc = main(["compare", "--matrix", str(DATA / "table3.tsv"), "--tick", "86400"])
         assert rc == 0
         assert "winner\tDL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [["--any-user"], ["--tick", "3600"], ["--max-layer", "2"]])
+    def test_dl_options_without_dl_exit_2(self, dominance_csv, extra, capsys):
+        rc = main(["compare", "--workload", str(dominance_csv), "--cpus", "1",
+                   "--policies", "fcfs,sjf", *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: dl options need the dl policy, got {extra[0]}\n"
+        )
+
+    def test_dl_options_accepted_with_dl(self, periodic_csv, capsys):
+        rc = main(["compare", "--workload", str(periodic_csv), "--cpus", "8",
+                   "--policies", "fcfs,DL", "--tick", "3600", "--any-user"])
+        assert rc == 0
+        assert "winner" in capsys.readouterr().out
 
     def test_dominating_policy_wins(self, dominance_csv, capsys):
         rc = main(
@@ -334,6 +375,23 @@ def test_max_layer_below_one_exit_1(periodic_csv, command, max_layer, capsys):
     rc = main([*command, "--workload", str(periodic_csv), "--max-layer", max_layer])
     assert rc == 1
     assert capsys.readouterr().err == "error: max_layer must be >= 1\n"
+
+
+@pytest.mark.parametrize("command, error", [
+    (["simulate", "--cpus", "8", "--policy", "dl", "--tick", "nan"], "tick and horizon"),
+    (["simulate", "--cpus", "8", "--policy", "dl", "--horizon", "nan"], "tick and horizon"),
+    (["simulate", "--cpus", "8", "--policy", "dl", "--horizon", "inf"], "tick and horizon"),
+    (["forecast", "--horizon", "nan"], "now and horizon"),
+    (["forecast", "--horizon", "inf"], "now and horizon"),
+    (["forecast", "--now", "nan"], "now and horizon"),
+], ids=["simulate-tick-nan", "simulate-horizon-nan", "simulate-horizon-inf",
+        "forecast-horizon-nan", "forecast-horizon-inf", "forecast-now-nan"])
+def test_non_finite_forecaster_times_exit_1(periodic_csv, command, error, capsys):
+    # before the check these never returned: prolong's emit loop never
+    # passed a NaN or infinite end
+    rc = main([*command, "--workload", str(periodic_csv)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {error} must be finite")
 
 
 def _write_csv(tmp_path, name, workload):

@@ -46,11 +46,15 @@ DATA = Path(__file__).parent / "data" / "dl_fingerprints.json"
 CLUSTER = ClusterConfig(16)
 
 # name -> (workload builder, same_user, thresholds); the weekly scenarios use
-# low thresholds so that hard reservations reshape the trace
+# low thresholds so that hard reservations reshape the trace, and
+# weekly-hard pins both borders at 0 so that every reservation is hard
 SCENARIOS = {
     "lifecycle": (lifecycle_workload, True, ThresholdState(0.2, 0.6, min_gap=0.05)),
     "weekly": (weekly_workload, True, ThresholdState(0.05, 0.1, min_gap=0.05)),
     "weekly-pooled": (weekly_workload, False, ThresholdState(0.05, 0.1, min_gap=0.05)),
+    "weekly-hard": (
+        weekly_workload, True, ThresholdState(0.0, 0.0, step=0.0, min_gap=0.0)
+    ),
     "backlog": (backlog_workload, True, ThresholdState()),
     "overestimate": (overestimate_workload, True, ThresholdState()),
     "underestimate": (underestimate_workload, True, ThresholdState()),

@@ -227,8 +227,11 @@ class TestProlong:
             assert len(set(times)) == len(times)
 
     def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            prolong([], now=0, horizon=0)
+        # a NaN or infinite end would keep the emit loop from ever passing it
+        inf, nan = float("inf"), float("nan")
+        for now, horizon in [(0, 0), (0, -1), (0, nan), (0, inf), (nan, 1), (inf, 1), (-inf, 1)]:
+            with pytest.raises(ValueError):
+                prolong([], now=now, horizon=horizon)
 
     @settings(max_examples=500, deadline=None)
     @given(layered_patterns(), st.integers(0, 100), st.integers(1, 60))
@@ -456,14 +459,87 @@ def reference_chains(cluster, params=SimilarityParams(), layer=1, start_id=0, sp
     return patterns
 
 
+def reference_clusters(jobs, params=SimilarityParams()):
+    """Reference requirement clustering: in (submit_time, job_id) order a job
+    joins the first cluster of its key (its user, or everyone when not
+    same_user) whose member medians, read with statistics.median, are within
+    tolerance of its cpus and runtime; otherwise it opens a new cluster.
+    Clusters come by key ascending, then in creation order."""
+    by_key: dict[int, list[list]] = {}
+    for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
+        clusters = by_key.setdefault(job.user_id if params.same_user else 0, [])
+        for members in clusters:
+            med_cpus = statistics.median(m.cpus for m in members)
+            med_runtime = statistics.median(m.runtime for m in members)
+            if (
+                abs(job.cpus - med_cpus) <= params.cpu_tol * max(job.cpus, med_cpus)
+                and abs(job.runtime - med_runtime)
+                <= params.runtime_tol * max(job.runtime, med_runtime)
+            ):
+                members.append(job)
+                break
+        else:
+            clusters.append([job])
+    return [members for key in sorted(by_key) for members in by_key[key]]
+
+
 def reference_mining(jobs, params):
-    """Every cluster chained from scratch by the reference loop, then the
-    higher layers built with the reference loop too."""
+    """Every cluster built and chained from scratch by the reference loops,
+    then the higher layers built with the reference loops too."""
     layer1 = []
-    for cluster in group_similar_jobs(jobs, params):
+    for cluster in reference_clusters(jobs, params):
         layer1.extend(reference_chains(cluster, params, start_id=len(layer1)))
-    with mock.patch.object(patterns_module, "detect_patterns", reference_chains):
+    with mock.patch.object(patterns_module, "detect_patterns", reference_chains), \
+            mock.patch.object(patterns_module, "group_similar_jobs", reference_clusters):
         return build_layers(layer1, params)
+
+
+@st.composite
+def requirement_streams(draw):
+    """Jobs whose cpus and runtimes sit on and around the tolerance edges
+    (3 vs 4 cpus at cpu_tol 0.25, 750 vs 1000 s at runtime_tol 0.25), with
+    even-sized clusters whose medians fall between two members, random batch
+    cuts and both values of same_user."""
+    params = SimilarityParams(
+        cpu_tol=draw(st.sampled_from([0.0, 0.2, 0.25, 0.5])),
+        runtime_tol=draw(st.sampled_from([0.0, 0.2, 0.25, 0.5])),
+        same_user=draw(st.booleans()),
+    )
+    n = draw(st.integers(1, 30))
+    times = sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
+    jobs = [
+        make_job(
+            i + 1, t * 3600.0,
+            draw(st.sampled_from([600, 750, 800, 1000, 1200, 1250, 1500, 2000])),
+            draw(st.sampled_from([2, 3, 4, 5, 6, 8])),
+            user=draw(st.integers(0, 2)),
+        )
+        for i, t in enumerate(times)
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    bounds = [0, *cuts, n]
+    return [jobs[a:b] for a, b in zip(bounds, bounds[1:])], params
+
+
+class TestClusteringEqualsReference:
+    @settings(max_examples=400, deadline=None)
+    @given(requirement_streams())
+    def test_clusters_equal_reference(self, case):
+        batches, params = case
+        jobs = [j for batch in batches for j in batch]
+        expected = reference_clusters(jobs, params)
+        assert group_similar_jobs(jobs, params) == expected
+        miner = PatternMiner(params)
+        for batch in batches:
+            miner.add(batch)
+        assert miner.clusters() == expected
+
+    def test_tolerance_edges_join(self):
+        # |3 - 4| = 0.25 * 4 and |750 - 1000| = 0.25 * 1000: both on the edge
+        jobs = [make_job(1, 0, 1000, 4), make_job(2, 1, 750, 3)]
+        params = SimilarityParams(cpu_tol=0.25)
+        assert group_similar_jobs(jobs, params) == reference_clusters(jobs, params)
+        assert len(reference_clusters(jobs, params)) == 1
 
 
 @st.composite

@@ -152,6 +152,15 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="max_layer must be >= 1"):
             ForecasterConfig(max_layer=max_layer)
 
+    @pytest.mark.parametrize("field, value", [
+        ("tick", 0.0), ("tick", float("nan")), ("tick", float("inf")),
+        ("horizon", -1.0), ("horizon", float("nan")), ("horizon", float("inf")),
+    ])
+    def test_non_finite_or_non_positive_times_rejected_at_construction(self, field, value):
+        # a NaN or infinite horizon would make prolong's emit loop run forever
+        with pytest.raises(ValueError, match="tick and horizon must be finite and > 0"):
+            ForecasterConfig(**{field: value})
+
     def test_runtime_vanishing_at_start_is_fatal(self):
         # job 2 waits until t = 2**53, where adding 1 s rounds back to t
         wl = make_workload(make_job(1, 0, 2.0**53, 1), make_job(2, 0, 1, 1))
