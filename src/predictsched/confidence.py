@@ -55,21 +55,26 @@ def _make_group(member_ids: Sequence[int], lengths: Sequence[int]) -> PatternGro
 
 class _Cohort(_Group):
     """A group of patterns being built, all of one layer, with a sorted
-    period list beside the requirement lists."""
+    period list and its median beside the requirement lists."""
 
-    __slots__ = ("layer", "periods")
+    __slots__ = ("layer", "periods", "med_period")
 
     def __init__(self, p: Pattern):
         super().__init__(p, p.rep_cpus, p.rep_runtime)
         self.layer = p.layer
         self.periods = [p.period]
+        self.med_period = p.period
+
+    def add(self, p: Pattern) -> None:
+        super().add(p, p.rep_cpus, p.rep_runtime)
+        bisect.insort(self.periods, p.period)
+        self.med_period = _median(self.periods)
 
     def admits(self, p: Pattern, req_params: SimilarityParams) -> bool:
         # layer and period first: most cohorts fail them, at no extra call
         if self.layer != p.layer:
             return False
-        med_period = _median(self.periods)
-        lo, hi = min(p.period, med_period), max(p.period, med_period)
+        lo, hi = min(p.period, self.med_period), max(p.period, self.med_period)
         if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
             return False
         return self.matches_reqs(p.rep_cpus, p.rep_runtime, req_params)
@@ -91,8 +96,7 @@ def group_patterns(
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         for cohort in cohorts:
             if cohort.admits(p, req_params):
-                cohort.add(p, p.rep_cpus, p.rep_runtime)
-                bisect.insort(cohort.periods, p.period)
+                cohort.add(p)
                 break
         else:
             cohorts.append(_Cohort(p))

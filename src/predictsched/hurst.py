@@ -6,10 +6,13 @@ prolonging recurring submission behaviour into the future.
 
 Estimation steps:
   1) For window sizes n in a geometric ladder (8, 16, ... up to length/2),
-     split the series into non-overlapping windows of size n.
+     split the series into non-overlapping windows of size n: the rows of
+     one (length // n, n) array over the leading length // n * n samples.
   2) Per window: mean-adjusted cumulative sum Z, range R = max(Z) - min(Z),
      standard deviation S; the window statistic is R/S.  Windows with zero
-     range or zero deviation are dropped.
+     range or zero deviation are dropped.  Each statistic is one numpy call
+     along the rows, with the same arithmetic as on each window alone, so
+     the result is bitwise that of a window-by-window loop.
   3) Average R/S over the windows of each size.
   4) H is the least-squares slope of log(R/S) against log(n).
 
@@ -45,10 +48,13 @@ def _as_values(series) -> np.ndarray:
 def hurst_exponent(series) -> HurstResult:
     """Estimate the Hurst exponent of a TimeSeries or 1-D array.
 
-    Raises ValueError for series shorter than 32 samples or with zero
-    variance (R/S is undefined on a constant series).
+    Raises ValueError for series holding NaN or infinite values, shorter
+    than 32 samples, or with zero variance (R/S is undefined on a constant
+    series).
     """
     x = _as_values(series)
+    if not np.isfinite(x).all():
+        raise ValueError("series holds NaN or infinite values")
     n = x.size
     if n < MIN_SERIES_LEN:
         raise ValueError(f"series too short for R/S analysis ({n} < {MIN_SERIES_LEN})")
@@ -58,18 +64,13 @@ def hurst_exponent(series) -> HurstResult:
     points: list[tuple[float, float]] = []
     w = _MIN_WINDOW
     while w <= n // 2:
-        nblocks = n // w
-        ratios = []
-        for b in range(nblocks):
-            seg = x[b * w : (b + 1) * w]
-            dev = seg - seg.mean()
-            z = np.cumsum(dev)
-            r = float(z.max() - z.min())
-            s = float(seg.std())
-            if r > 0 and s > 0:
-                ratios.append(r / s)
-        if ratios:
-            points.append((float(np.log(w)), float(np.log(np.mean(ratios)))))
+        blocks = x[: n // w * w].reshape(-1, w)
+        z = np.cumsum(blocks - blocks.mean(axis=1, keepdims=True), axis=1)
+        r = z.max(axis=1) - z.min(axis=1)
+        s = blocks.std(axis=1)
+        keep = (r > 0) & (s > 0)
+        if keep.any():
+            points.append((float(np.log(w)), float(np.log(np.mean(r[keep] / s[keep])))))
         w *= 2
 
     if len(points) < 2:

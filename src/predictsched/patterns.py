@@ -114,22 +114,25 @@ def _median(ordered: list) -> float:
 
 class _Group:
     """A requirement cluster, chain attempt or confidence cohort being built:
-    members in joining order, and sorted cpus and runtime lists for the
-    running medians, read with statistics.median's arithmetic."""
+    members in joining order, and sorted cpus and runtime lists with their
+    medians (statistics.median's arithmetic), kept current by add(), the one
+    place a median moves."""
 
-    __slots__ = ("members", "cpus", "runtimes")
+    __slots__ = ("members", "cpus", "runtimes", "med_cpus", "med_runtime")
 
     def __init__(self, member, cpus: int, runtime: float):
         self.members, self.cpus, self.runtimes = [member], [cpus], [runtime]
+        self.med_cpus, self.med_runtime = cpus, runtime
 
     def add(self, member, cpus: int, runtime: float) -> None:
         self.members.append(member)
         bisect.insort(self.cpus, cpus)
         bisect.insort(self.runtimes, runtime)
+        self.med_cpus, self.med_runtime = _median(self.cpus), _median(self.runtimes)
 
     def matches_reqs(self, cpus: int, runtime: float, params: SimilarityParams) -> bool:
         """Do (cpus, runtime) agree with the members' medians within tolerance?"""
-        return reqs_match(cpus, _median(self.cpus), runtime, _median(self.runtimes), params)
+        return reqs_match(cpus, self.med_cpus, runtime, self.med_runtime, params)
 
 
 class _Chainer:
@@ -237,7 +240,7 @@ class _Chainer:
             layer=self.layer,
             user_id=self.avail[0].user_id,
             rep_cpus=int(chain.cpus[(len(chain.cpus) - 1) // 2]),  # median_low
-            rep_runtime=float(_median(chain.runtimes)),
+            rep_runtime=float(chain.med_runtime),
             period=float(_median(self.gaps)),
             occurrences=tuple(chain.members),
         )

@@ -13,6 +13,11 @@ from conftest import lifecycle_workload, make_job, make_workload, weekly_workloa
 DATA = Path(__file__).parent / "data"
 
 
+def read_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def swf_text(submits, runtime=100, cpus=1, user=1):
     lines = ["; generated fixture"]
     for i, t in enumerate(submits, start=1):
@@ -104,7 +109,7 @@ class TestSimulate:
         assert "makespan:    15" in out
         assert "slowdown:    4.0000" in out
         assert "utilization: 100.000" in out
-        rows = list(csv.DictReader(out_file.open()))
+        rows = read_rows(out_file)
         assert [r["start"] for r in rows] == ["0", "10"]
 
     @pytest.mark.parametrize("extra", [
@@ -154,7 +159,7 @@ class TestSimulate:
             ]
         )
         assert rc == 0
-        rows = list(csv.DictReader(fb.open()))
+        rows = read_rows(fb)
         assert rows, "daily pattern should produce tracked predictions"
         assert set(rows[0]) == {
             "pattern_id", "predicted_submit", "confidence", "decision", "came_true",
@@ -323,9 +328,9 @@ class TestSynth:
              "--seed", "7"]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) >= 10
-        truth_rows = list(csv.DictReader(truth.open()))
+        truth_rows = read_rows(truth)
         assert len(truth_rows) == 10
         assert truth_rows[0]["template_id"] == "0"
 
@@ -349,7 +354,7 @@ class TestForecast:
              "--out", str(out)]
         )
         assert rc == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = read_rows(out)
         assert len(rows) == 2  # two daily prolongations in a 2-day horizon
         # parsing normalizes the clock, so the last observed submit is
         # 7 * 86400 and the first prolongation lands one period later

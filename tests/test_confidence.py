@@ -1,4 +1,5 @@
 import statistics
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from predictsched import (
     group_patterns,
     update_thresholds,
 )
-from predictsched.confidence import _PERIOD_RATIO_TOL, _make_group, groups_by_pattern
+from predictsched.confidence import _PERIOD_RATIO_TOL, _Cohort, _make_group, groups_by_pattern
 from predictsched.patterns import reqs_match
 
 DAY = 86400.0
@@ -126,6 +127,26 @@ class TestGroupPatternsMatchesReference:
         group_of = groups_by_pattern(groups)
         assert sorted(group_of) == sorted(p.pattern_id for p in patterns)
         assert all(pid in group_of[pid].member_pattern_ids for pid in group_of)
+
+
+class TestCachedCohortMedians:
+    @settings(max_examples=200, deadline=None)
+    @given(pattern_sets(), st.sampled_from([0.0, 0.25, 0.5]))
+    def test_medians_after_every_add(self, patterns, runtime_tol):
+        original = _Cohort.add
+        adds = []
+
+        def add(cohort, p):
+            original(cohort, p)
+            adds.append(p.pattern_id)
+            members = cohort.members
+            assert cohort.med_period == statistics.median(m.period for m in members)
+            assert cohort.med_cpus == statistics.median(m.rep_cpus for m in members)
+            assert cohort.med_runtime == statistics.median(m.rep_runtime for m in members)
+
+        with mock.patch.object(_Cohort, "add", add):
+            groups = group_patterns(patterns, SimilarityParams(runtime_tol=runtime_tol))
+        assert len(adds) == len(patterns) - len(groups)
 
 
 class TestConfidenceFactor:

@@ -601,6 +601,44 @@ def split_streams(draw):
     return batches, params
 
 
+def checked_group_add(reqs_of):
+    """Patch _Group.add to check, after every call, that the cached medians
+    equal statistics.median over the members' own (cpus, runtime)."""
+    original = patterns_module._Group.add
+
+    def add(group, member, cpus, runtime):
+        original(group, member, cpus, runtime)
+        reqs = [reqs_of(m) for m in group.members]
+        assert group.med_cpus == statistics.median(c for c, _ in reqs)
+        assert group.med_runtime == statistics.median(r for _, r in reqs)
+
+    return mock.patch.object(patterns_module._Group, "add", add)
+
+
+class TestCachedMedians:
+    @settings(max_examples=200, deadline=None)
+    @given(requirement_streams())
+    def test_cluster_medians_after_every_add(self, case):
+        batches, params = case
+        miner = PatternMiner(params)
+        with checked_group_add(lambda job: (job.cpus, job.runtime)):
+            for batch in batches:
+                miner.add(batch)
+        for cluster in miner._clusters():
+            assert cluster.med_cpus == statistics.median(j.cpus for j in cluster.members)
+            assert cluster.med_runtime == statistics.median(j.runtime for j in cluster.members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(job_streams(max_users=1, max_jobs=30))
+    def test_chain_medians_after_every_add(self, jobs):
+        by_id = {j.job_id: j for j in jobs}
+        chainer = patterns_module._Chainer(SimilarityParams())
+        with checked_group_add(lambda row: (by_id[row[0]].cpus, by_id[row[0]].runtime)):
+            for job in jobs:
+                chainer.feed([job])
+            chainer.patterns(0)
+
+
 class TestResumableChaining:
     @settings(max_examples=300, deadline=None)
     @given(split_streams())
