@@ -447,6 +447,7 @@ def build_layers(
 
 
 _STALENESS_FACTOR = 2.0
+_MAX_PREDICTIONS = 1_000_000  # per pattern and call; more would not finish
 
 
 def prolong(
@@ -461,13 +462,15 @@ def prolong(
     predicted period tick repeats a block: a layer-1 pattern is its own block
     with the single offset 0, and a super pattern repeats its most recent
     child chain's full occurrence block, with the child's cpus and runtime.
+    A pattern whose ticks would make more than _MAX_PREDICTIONS predictions
+    raises ValueError before any is made.
     """
     if not (horizon > 0 and math.isfinite(now + horizon)):
         # a NaN or infinite end would never stop the emit loop below
         raise ValueError("now and horizon must be finite, and horizon > 0")
     by_id = {p.pattern_id: p for p in patterns}
     end = now + horizon
-    preds: list[PredictedJob] = []
+    live = []
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         last = p.last_time
         if now - last > _STALENESS_FACTOR * p.period:
@@ -477,6 +480,17 @@ def prolong(
             continue
         first = block.occurrences[0][1]
         offsets = [0.0] if p.layer == 1 else [t - first for _, t in block.occurrences]
+        # the block repeats at each period tick up to end: the emit loop's
+        # (tick, offset) pairs bound the predictions it makes from above
+        if (end - last) // p.period * len(offsets) > _MAX_PREDICTIONS:
+            raise ValueError(
+                f"pattern {p.pattern_id} would make more than {_MAX_PREDICTIONS:,} "
+                f"predictions over the horizon; shorten the horizon"
+            )
+        live.append((p, block, offsets))
+    preds: list[PredictedJob] = []
+    for p, block, offsets in live:
+        last = p.last_time
         m = 1
         while True:
             t0 = last + m * p.period

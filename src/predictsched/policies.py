@@ -9,7 +9,10 @@ Planning always uses the user's runtime estimate; the engine fires actual
 finishes, which re-invokes the policy, so early completions are exploited
 immediately.  The planners keep their plan between calls and reuse it only
 while the fresh profile shows that it still holds and, for best-gap, until
-the gap holding now could become a waiting job's best fit (see Planner).
+the gap holding now could become a waiting job's best fit.  After a job
+starts from behind a waiting one, the gap policies first place the jobs
+ahead of it again and keep the rest of the plan if those starts come back
+unchanged (see Planner).
 """
 
 from __future__ import annotations
@@ -262,22 +265,31 @@ class Planner(Policy):
          with the jobs it started carved out, advanced to now;
       4. no kept placement is before now;
       5. now is before the plan's holds-until time, which _place may lower
-         (only BestGap does; see GapPolicy).
-    Otherwise it plans afresh, which is the same loop with nothing kept.
+         (only BestGap does; see GapPolicy);
+      6. if the policy _repairs (the gap policies) and that call started a
+         job from behind a waiting one: the waiting jobs ahead of the last
+         job started, placed again in order on the kept fresh profile
+         (equal to the new one by 3), each get their kept start back.
+    Otherwise it plans afresh, which is the same loop with nothing kept;
+    when only 6 fails, the loop goes on from the job that moved.
     Reuse is exact: a placement is the earliest suitable start at or after
     now, so with the profile from now on unchanged each waiting job gets its
-    kept start back, and a job started from behind a waiting one was placed
-    around it.  A finish off its estimate, a lapsed estimate or a new hard
-    window changes the fresh profile.  A call that leaves fewer than two
-    jobs waiting keeps nothing, because checking a plan costs about what
-    placing one job again does.
+    kept start back.  Earliest fit placed a job started from behind a
+    waiting one around it; a gap policy placed the jobs ahead without it,
+    hence 6.  Once those match, the plan profile carves the same rectangles
+    as a fresh one (split points form a set and levels are integer sums, so
+    carving commutes).  A finish off its estimate, a lapsed estimate or a
+    new hard window changes the fresh profile.  A call that leaves fewer
+    than two jobs waiting keeps nothing, because checking a plan costs about
+    what placing one job again does.
     """
 
-    _prefix_only = False  # keep only when the started jobs lead the queue
+    _repairs = False  # re-place the jobs ahead of the last started one
 
     def __init__(self):
         # (now, fresh profile with the starts carved out, plan profile,
-        #  waiting jobs, their placements, the earliest of those)
+        #  waiting jobs, their placements, the earliest of those, how many
+        #  of them were ahead of the last job started)
         self._kept = None
         self._holds_until = math.inf  # _place may lower it; see GapPolicy
         self._last: tuple[tuple[Job, ...], list[float]] = ((), [])
@@ -290,31 +302,12 @@ class Planner(Policy):
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         raise NotImplementedError
 
-    def select(self, view: SchedulerView) -> list[Job]:
-        now, queue = view.now, view.queue
-        fresh = CapacityProfile.from_view(view)
-        kept = self._kept
-        if kept is not None:
-            self._kept = None
-            t0, base, plan, waiting, planned, earliest = kept
-            if (now < t0 or earliest < now or now >= self._holds_until
-                    or queue[:len(waiting)] != waiting):
-                kept = None
-            else:
-                base.advance(now)
-                if base.times != fresh.times or base.free != fresh.free:
-                    kept = None
-        if kept is None:
-            self._holds_until = math.inf
-            plan = fresh.copy() if len(queue) > 1 else fresh
-            planned, starts, tail = [], [], queue
-        else:
-            plan.advance(now)
-            starts = [] if earliest > now else [
-                job for job, t in zip(waiting, planned) if t == now]
-            tail = queue[len(waiting):]
+    def _place_all(self, plan: CapacityProfile, jobs, now: float,
+                   planned: list[float], starts: list[Job]) -> None:
+        """Place jobs in order on plan, appending each one's start to planned
+        (inf when it fits nowhere) and the jobs planned for now to starts."""
         place = self._place
-        for job in tail:
+        for job in jobs:
             t = place(plan, job)
             if t is None:
                 planned.append(math.inf)  # waits, holding nothing
@@ -323,22 +316,67 @@ class Planner(Policy):
             planned.append(t)
             if t == now:
                 starts.append(job)
+
+    def select(self, view: SchedulerView) -> list[Job]:
+        now, queue = view.now, view.queue
+        fresh = CapacityProfile.from_view(view)
+        kept = self._kept
+        if kept is not None:
+            self._kept = None
+            t0, base, plan, waiting, planned, earliest, ahead = kept
+            if (now < t0 or earliest < now or now >= self._holds_until
+                    or queue[:len(waiting)] != waiting):
+                kept = None
+            else:
+                base.advance(now)
+                if base.times != fresh.times or base.free != fresh.free:
+                    kept = None
+        if kept is not None and ahead:
+            # the jobs ahead of the last one started were placed without it;
+            # place them again, as a fresh plan would (base equals fresh)
+            holds_until, self._holds_until = self._holds_until, math.inf
+            again, starts = [], []
+            self._place_all(base, waiting[:ahead], now, again, starts)
+            if again == planned[:ahead]:
+                # a lower bound only brings a re-plan earlier
+                self._holds_until = min(holds_until, self._holds_until)
+            else:  # one moved: the fresh plan goes on from there
+                kept, plan, planned, tail = None, base, again, queue[ahead:]
+        elif kept is None:
+            self._holds_until = math.inf
+            plan = fresh.copy() if len(queue) > 1 else fresh
+            planned, starts, tail = [], [], queue
+        if kept is not None:
+            plan.advance(now)
+            starts = [] if earliest > now else [
+                job for job, t in zip(waiting, planned) if t == now]
+            tail = queue[len(waiting):]
+        self._place_all(plan, tail, now, planned, starts)
         self._last = (queue, planned)
         n = len(starts)
         if plan is fresh or n > len(queue) - 2:
             return starts
+        ahead = 0
         if n == 0:
             waiting = queue
         elif starts[-1] is queue[n - 1]:  # the started jobs lead the queue
             waiting, planned = queue[n:], planned[n:]
-        elif self._prefix_only:
-            return starts
         else:
-            waiting = tuple(job for job, t in zip(queue, planned) if t != now)
-            planned = [t for t in planned if t != now]
+            # the jobs left waiting, their starts, and how many of them were
+            # ahead of the last job started, in one pass
+            waiting, kept_starts = [], []
+            for job, t in zip(queue, planned):
+                if t == now:
+                    ahead = len(waiting)
+                else:
+                    waiting.append(job)
+                    kept_starts.append(t)
+            waiting, planned = tuple(waiting), kept_starts
+            if not self._repairs:
+                ahead = 0
         for job in starts:
             fresh.reserve(now, job.runtime_estimate, job.cpus)
-        self._kept = (now, fresh, plan, waiting, planned, min(planned))
+        self._kept = (now, fresh, plan, waiting, planned, min(planned), ahead)
         return starts
 
 
@@ -403,10 +441,11 @@ class GapPolicy(Planner):
 
     A gap is a maximal constant-capacity rectangle of the profile.  ESG
     takes the earliest gap wide and long enough; BestGap minimizes leftover
-    (cpus slack, then duration slack), earliest among equals.  Both reuse
-    their kept plan (see Planner) only after a call whose started jobs led
-    the queue, because a job started from behind a waiting one can split
-    that job's gap.
+    (cpus slack, then duration slack), earliest among equals.  A job
+    started from behind a waiting one can split or join that job's gap, so
+    after such a call both place the waiting jobs ahead of the last one
+    started again before they reuse their kept plan (see Planner, condition
+    6), and BestGap bounds holds-until afresh for those placements.
 
     With the profile unchanged, one gap differs between BestGap's kept plan
     and a fresh one: the gap holding now, cut to start at now, with its
@@ -423,7 +462,7 @@ class GapPolicy(Planner):
     so last_placements keeps the last non-empty plan.
     """
 
-    _prefix_only = True
+    _repairs = True
     _best = False
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:

@@ -57,6 +57,9 @@ _FINISH, _RES_EXPIRE, _SUBMIT, _RES_START, _FORECAST = range(5)
 _MATCH_WINDOW_FRAC = 0.25
 _MATCH_WINDOW_CAP = 21600.0
 
+# more forecast ticks than this in one run would not finish in useful time
+_MAX_FORECAST_TICKS = 1_000_000
+
 
 class ResState(enum.Enum):
     """Where a Reservation is in its lifecycle (see its docstring)."""
@@ -243,6 +246,15 @@ class _Engine:
                 raise SimulationError(
                     f"job {job.job_id} requests {job.cpus} cpus, "
                     f"cluster has {cluster.total_cpus}"
+                )
+        if forecaster is not None and workload.jobs:
+            # the forecast ticks until every job has finished, and no job
+            # finishes before its submit time plus its runtime
+            ticks = max(j.submit_time + j.runtime for j in workload) / forecaster.tick
+            if ticks > _MAX_FORECAST_TICKS:
+                raise ValueError(
+                    f"a forecast tick of {forecaster.tick:g} s makes more than "
+                    f"{_MAX_FORECAST_TICKS:,} ticks over this workload; raise the tick"
                 )
         self.workload = workload
         self.cluster = cluster

@@ -399,6 +399,23 @@ def test_non_finite_forecaster_times_exit_1(periodic_csv, command, error, capsys
     assert capsys.readouterr().err.startswith(f"error: {error} must be finite")
 
 
+@pytest.mark.parametrize("command, error", [
+    (["simulate", "--cpus", "8", "--policy", "dl", "--tick", "1e-6"],
+     "a forecast tick of 1e-06 s makes more than 1,000,000 ticks over this workload"),
+    (["simulate", "--cpus", "8", "--policy", "dl", "--horizon", "1e12"],
+     "would make more than 1,000,000 predictions over the horizon"),
+    (["forecast", "--horizon", "1e12"],
+     "would make more than 1,000,000 predictions over the horizon"),
+], ids=["simulate-tick-1e-6", "simulate-horizon-1e12", "forecast-horizon-1e12"])
+def test_forecasts_that_would_not_finish_exit_1(periodic_csv, command, error, capsys):
+    # before the bounds these did not finish: about 6e11 forecast ticks, or
+    # 11.6M predictions of the daily pattern at every tick
+    rc = main([*command, "--workload", str(periodic_csv)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+
+
 def _write_csv(tmp_path, name, workload):
     path = tmp_path / f"{name}.csv"
     path.write_text(workload_to_csv(workload))
