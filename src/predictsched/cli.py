@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .confidence import ThresholdState, feedback_to_csv
+from .confidence import MODES, ThresholdState, feedback_to_csv
 from .hurst import hurst_exponent
 from .metrics import ORIENTATIONS, objectives
 from .patterns import SimilarityParams, mine_patterns, predictions_to_csv
@@ -33,7 +33,7 @@ from .ranking import (
 from .simtrace import trace_to_csv
 from .simulator import ForecasterConfig, run, run_with_telemetry, score_predictions
 from .synth import parse_synth_spec, synth_workload, truth_to_csv
-from .workload import ClusterConfig, load_workload, to_time_series, workload_to_csv
+from .workload import CHANNELS, ClusterConfig, load_workload, to_time_series, workload_to_csv
 
 # default criterion preferences: makespan and slowdown tie, slowdown
 # outranks resource usage, resource usage outranks makespan
@@ -207,22 +207,26 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_forecast_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cpu-tol", type=float, default=0.0)
-    p.add_argument("--runtime-tol", type=float, default=0.25)
-    p.add_argument("--period-jitter", type=float, default=0.10)
-    p.add_argument("--min-occurrences", type=int, default=3)
+    """The mining options; their defaults are ForecasterConfig()'s."""
+    fc = ForecasterConfig()
+    sim = fc.similarity
+    p.add_argument("--cpu-tol", type=float, default=sim.cpu_tol)
+    p.add_argument("--runtime-tol", type=float, default=sim.runtime_tol)
+    p.add_argument("--period-jitter", type=float, default=sim.period_jitter)
+    p.add_argument("--min-occurrences", type=int, default=sim.min_occurrences)
     p.add_argument("--any-user", action="store_true", help="cluster across users")
-    p.add_argument("--max-layer", type=int, default=3)
-    p.add_argument("--mode", choices=("survival", "pdf_normalized"), default="survival")
-    p.add_argument("--horizon", type=float, default=86400.0)
+    p.add_argument("--max-layer", type=int, default=fc.max_layer)
+    p.add_argument("--mode", choices=MODES, default=fc.mode)
+    p.add_argument("--horizon", type=float, default=fc.horizon)
 
 
 def _add_dl_args(p: argparse.ArgumentParser) -> None:
     """The options of the `dl` policy's online forecaster beyond mining."""
     _add_forecast_args(p)
-    p.add_argument("--tick", type=float, default=86400.0)
-    p.add_argument("--t-low", type=float, default=0.33)
-    p.add_argument("--t-high", type=float, default=0.66)
+    fc = ForecasterConfig()
+    p.add_argument("--tick", type=float, default=fc.tick)
+    p.add_argument("--t-low", type=float, default=fc.thresholds.t_low)
+    p.add_argument("--t-high", type=float, default=fc.thresholds.t_high)
 
 
 def _add_replay_args(p: argparse.ArgumentParser) -> None:
@@ -245,11 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="Hurst exponent of a workload series")
     _add_workload_args(p)
-    p.add_argument(
-        "--channel",
-        choices=("interarrival", "submitted_cpu_time", "submitted_job_count"),
-        default="interarrival",
-    )
+    p.add_argument("--channel", choices=sorted(CHANNELS), default="interarrival")
     p.add_argument("--bin-width", type=float, default=3600.0)
     p.set_defaults(func=cmd_analyze)
 

@@ -1,6 +1,8 @@
 """The scheduling policies compared by the simulator.
 
-Queue-based policies look only at the current queue and free processors.
+Queue policies look only at the current queue and free processors: one
+class, QueuePolicy, starts jobs in the order a token sets and either stops
+at the first job that does not fit or goes past it.
 Planner policies (backfilling, gap placement, predictive) maintain a
 piecewise-constant capacity profile built from the estimated finish times
 of running jobs, plus any hard reservation windows the engine passes in.
@@ -180,75 +182,37 @@ class Policy:
         raise NotImplementedError
 
 
-class OrderedQueuePolicy(Policy):
-    """Start jobs strictly in a sort order; stop at the first one that is blocked.
+class QueuePolicy(Policy):
+    """Start queued jobs in order while they fit in the free processors.
 
-    A subclass sets order_key(job); None keeps the view's queue order.
+    order_key(job) sorts the queue; None keeps the view's queue order.  The
+    scan stops at the first job that does not fit, unless skip_blocked,
+    when it goes on past that job (first fit).
     """
 
-    order_key = None
+    def __init__(self, name: str, order_key=None, skip_blocked: bool = False):
+        self.name = name
+        self.order_key = order_key
+        self.skip_blocked = skip_blocked
 
     def select(self, view: SchedulerView) -> list[Job]:
         free = view.free_cpus
         starts: list[Job] = []
         queue = view.queue
         for job in queue if self.order_key is None else sorted(queue, key=self.order_key):
-            if job.cpus > free:
-                break
-            starts.append(job)
-            free -= job.cpus
-        return starts
-
-
-class Fcfs(OrderedQueuePolicy):
-    # the view's queue is already in (submit_time, job_id) order
-    name = "fcfs"
-
-
-class Lcfs(OrderedQueuePolicy):
-    name = "lcfs"
-
-    def order_key(self, job: Job):
-        return (-job.submit_time, job.job_id)
-
-
-class ShortestJobFirst(OrderedQueuePolicy):
-    name = "sjf"
-
-    def order_key(self, job: Job):
-        return (job.runtime_estimate, job.submit_time, job.job_id)
-
-
-class SmallestJobFirst(OrderedQueuePolicy):
-    name = "smjf"
-
-    def order_key(self, job: Job):
-        return (job.cpus, job.submit_time, job.job_id)
-
-
-class EarliestDeadlineFirst(OrderedQueuePolicy):
-    # jobs without a deadline fall back to submit time, so deadline-free
-    # workloads reproduce FCFS exactly
-    name = "edf"
-
-    def order_key(self, job: Job):
-        key = job.deadline if job.deadline is not None else job.submit_time
-        return (key, job.submit_time, job.job_id)
-
-
-class FirstFit(Policy):
-    """Scan the queue in submit order and start everything that fits."""
-
-    name = "first-fit"
-
-    def select(self, view: SchedulerView) -> list[Job]:
-        free = view.free_cpus
-        starts: list[Job] = []
-        for job in view.queue:
             if job.cpus <= free:
                 starts.append(job)
                 free -= job.cpus
+            elif not self.skip_blocked:
+                break
         return starts
+
+
+def _edf_key(job: Job):
+    # jobs without a deadline fall back to submit time, so deadline-free
+    # workloads reproduce FCFS exactly
+    key = job.deadline if job.deadline is not None else job.submit_time
+    return (key, job.submit_time, job.job_id)
 
 
 class Planner(Policy):
@@ -531,33 +495,29 @@ class DlPredictive(ConservativeBackfill):
     name = "dl"
 
 
-_POLICY_FACTORIES = {
-    PolicyKind.FCFS: Fcfs,
-    PolicyKind.LCFS: Lcfs,
-    PolicyKind.SHORTEST_JF: ShortestJobFirst,
-    PolicyKind.SMALLEST_JF: SmallestJobFirst,
-    PolicyKind.EDF: EarliestDeadlineFirst,
-    PolicyKind.FIRST_FIT: FirstFit,
-    PolicyKind.CONSERVATIVE_BF: ConservativeBackfill,
-    PolicyKind.EASY_BF: EasyBackfill,
-    PolicyKind.ESG: EarliestSuitableGap,
-    PolicyKind.BEST_GAP: BestGap,
-    PolicyKind.DL_PREDICTIVE: DlPredictive,
+# token -> factory, in PolicyKind order, then pbs-pro: a documented stand-in
+# for PBS-Pro's unavailable commercial rule set, FCFS order with first-fit
+# skipping.  fcfs and first-fit keep the view's (submit_time, job_id) order.
+_FACTORIES = {
+    "fcfs": lambda: QueuePolicy("fcfs"),
+    "lcfs": lambda: QueuePolicy("lcfs", lambda j: (-j.submit_time, j.job_id)),
+    "sjf": lambda: QueuePolicy("sjf", lambda j: (j.runtime_estimate, j.submit_time, j.job_id)),
+    "smjf": lambda: QueuePolicy("smjf", lambda j: (j.cpus, j.submit_time, j.job_id)),
+    "edf": lambda: QueuePolicy("edf", _edf_key),
+    "first-fit": lambda: QueuePolicy("first-fit", skip_blocked=True),
+    "cons-bf": ConservativeBackfill,
+    "easy-bf": EasyBackfill,
+    "esg": EarliestSuitableGap,
+    "best-gap": BestGap,
+    "dl": DlPredictive,
+    "pbs-pro": lambda: QueuePolicy("pbs-pro", skip_blocked=True),
 }
 
-# PBS-Pro's commercial rule set is unavailable; the token is a documented
-# stand-in that schedules FCFS order with first-fit skipping.
-_ALIASES = {"pbs-pro": PolicyKind.FIRST_FIT}
-
-POLICY_TOKENS = tuple(k.value for k in PolicyKind) + tuple(_ALIASES)
+POLICY_TOKENS = tuple(_FACTORIES)
 
 
 def make_policy(kind: PolicyKind | str) -> Policy:
-    if isinstance(kind, str):
-        token = kind.lower()
-        if token in _ALIASES:
-            policy = _POLICY_FACTORIES[_ALIASES[token]]()
-            policy.name = token
-            return policy
-        kind = PolicyKind(token)
-    return _POLICY_FACTORIES[kind]()
+    token = kind.value if isinstance(kind, PolicyKind) else kind.lower()
+    if token not in _FACTORIES:
+        raise ValueError(f"unknown policy '{kind}'; expected one of {POLICY_TOKENS}")
+    return _FACTORIES[token]()

@@ -2,7 +2,7 @@
 
 Jobs are non-preemptive and the cluster is a single pool of identical
 processors.  The engine owns all mutable state: the event heap, the queue,
-running allocations, and (when a forecaster configuration is supplied) the
+running allocations, and (when the `dl` policy runs its forecaster) the
 reservation book and adaptive confidence thresholds.
 
 Equal-time events process as finish < reservation expiry < submit <
@@ -463,6 +463,12 @@ class _Engine:
     def _on_forecast(self) -> None:
         self.telemetry.forecast_ticks += 1
         fc = self.fc
+        if self.telemetry.forecast_ticks > _MAX_FORECAST_TICKS:
+            # the check in __init__ cannot see finishes that a queue delays
+            raise ValueError(
+                f"a forecast tick of {fc.tick:g} s made more than "
+                f"{_MAX_FORECAST_TICKS:,} ticks before the last job finished; raise the tick"
+            )
         if len(self.submitted) >= 2:
             self.miner.add(self.submitted[self.mined :])
             self.mined = len(self.submitted)
@@ -590,9 +596,18 @@ def run_with_telemetry(
     policy: Policy | str,
     forecaster: Optional[ForecasterConfig] = None,
 ) -> tuple[SimTrace, Telemetry]:
-    """Simulate and also return reservation/feedback telemetry."""
+    """Simulate and also return reservation/feedback telemetry.
+
+    The forecaster runs only for a policy named `dl`, with ForecasterConfig()
+    when none is given; a config given with any other policy is an error.
+    """
     if isinstance(policy, str):
         policy = make_policy(policy)
+    if policy.name != "dl":
+        if forecaster is not None:
+            raise ValueError(f"a forecaster config needs the dl policy, got {policy.name}")
+    elif forecaster is None:
+        forecaster = ForecasterConfig()
     engine = _Engine(workload, cluster, policy, forecaster)
     trace = engine.run()
     return trace, engine.telemetry

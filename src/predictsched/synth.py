@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,6 +160,8 @@ def parse_synth_spec(text: str) -> SynthSpec:
     if "workload" not in parser:
         raise ValueError("synthetic spec needs a [workload] section")
     w = parser["workload"]
+    tpl = {f.name: f.default for f in fields(SynthTemplate)}
+    spec = {f.name: f.default for f in fields(SynthSpec)}
     templates = []
     for section in parser.sections():
         if not section.startswith("template"):
@@ -171,24 +173,25 @@ def parse_synth_spec(text: str) -> SynthSpec:
                 cpus=s.getint("cpus"),
                 runtime=s.getfloat("runtime"),
                 period=s.getfloat("period"),
-                offset=s.getfloat("offset", 0.0),
-                count=s.getint("count", 10),
-                submit_jitter=s.getfloat("submit_jitter", 0.0),
-                runtime_jitter=s.getfloat("runtime_jitter", 0.0),
+                offset=s.getfloat("offset", tpl["offset"]),
+                count=s.getint("count", tpl["count"]),
+                submit_jitter=s.getfloat("submit_jitter", tpl["submit_jitter"]),
+                runtime_jitter=s.getfloat("runtime_jitter", tpl["runtime_jitter"]),
             )
         )
+    cpus, runtime = spec["background_cpus"], spec["background_runtime"]
     return SynthSpec(
         horizon=w.getfloat("horizon"),
         templates=tuple(templates),
-        background_rate=w.getfloat("background_rate", 0.0),
-        background_users=w.getint("background_users", 10),
+        background_rate=w.getfloat("background_rate", spec["background_rate"]),
+        background_users=w.getint("background_users", spec["background_users"]),
         background_cpus=(
-            w.getint("background_cpus_min", 1),
-            w.getint("background_cpus_max", 8),
+            w.getint("background_cpus_min", cpus[0]),
+            w.getint("background_cpus_max", cpus[1]),
         ),
         background_runtime=(
-            w.getfloat("background_runtime_min", 600.0),
-            w.getfloat("background_runtime_max", 7200.0),
+            w.getfloat("background_runtime_min", runtime[0]),
+            w.getfloat("background_runtime_max", runtime[1]),
         ),
-        estimate_factor=w.getfloat("estimate_factor", 1.0),
+        estimate_factor=w.getfloat("estimate_factor", spec["estimate_factor"]),
     )

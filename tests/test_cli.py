@@ -5,8 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predictsched import POLICY_TOKENS, fractional_gaussian_noise, workload_to_csv
-from predictsched.cli import main
+from predictsched import (
+    POLICY_TOKENS,
+    ForecasterConfig,
+    fractional_gaussian_noise,
+    workload_to_csv,
+)
+from predictsched.cli import _forecaster_config, build_parser, main
 
 from conftest import lifecycle_workload, make_job, make_workload, weekly_workload
 
@@ -131,6 +136,11 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: dl options need the dl policy, got --any-user, --horizon, --tick\n"
         )
+
+    def test_dl_option_defaults_build_the_default_config(self):
+        argv = ["simulate", "--workload", "w.csv", "--cpus", "1", "--policy", "dl"]
+        args = build_parser().parse_args(argv)
+        assert _forecaster_config(args, ["dl"]) == ForecasterConfig()
 
     def test_dl_options_at_their_defaults_accepted_without_dl(self, two_job_csv, capsys):
         rc = main(["simulate", "--workload", str(two_job_csv), "--cpus", "1",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predictsched import (
+    POLICY_TOKENS,
     ClusterConfig,
     ForecasterConfig,
     Policy,
@@ -19,6 +20,7 @@ from predictsched import (
 from predictsched.policies import CapacityProfile, SchedulerView
 
 from conftest import (
+    backlog_workload,
     capacity_breaches,
     enumerate_instances,
     make_job,
@@ -233,20 +235,27 @@ class TestDlPolicy:
             *(make_job(i + 1, i, 3 + (i % 4), 1 + (i % 3)) for i in range(30))
         )
         cluster = ClusterConfig(4)
-        assert trace_to_csv(run(wl, cluster, "dl")) == trace_to_csv(
-            run(wl, cluster, "cons-bf")
-        )
+        trace, tel = run_with_telemetry(wl, cluster, "dl")
+        assert tel.reservations == []  # the run ends before the first tick
+        assert trace_to_csv(trace) == trace_to_csv(run(wl, cluster, "cons-bf"))
 
 
 class TestPolicyRegistry:
     def test_all_tokens_resolve(self):
+        assert POLICY_TOKENS == tuple(k.value for k in PolicyKind) + ("pbs-pro",)
         for kind in PolicyKind:
-            assert make_policy(kind.value).name == kind.value
+            assert make_policy(kind).name == kind.value
+        for token in POLICY_TOKENS:
+            assert make_policy(token).name == token
+            assert make_policy(token.upper()).name == token
 
     def test_pbs_pro_alias(self):
-        policy = make_policy("pbs-pro")
-        assert policy.name == "pbs-pro"
-        assert type(policy).__name__ == "FirstFit"
+        # pbs-pro stands in for PBS-Pro's rule set: FCFS order, first-fit skipping
+        policy = Compared(make_policy("pbs-pro"), make_policy("first-fit").select)
+        trace = run(backlog_workload(), ClusterConfig(16), policy)
+        assert trace.policy_name == "pbs-pro"
+        assert policy.calls > 100
+        assert policy.skipped > 0  # some call started a job from behind a blocked one
 
     def test_unknown_token(self):
         with pytest.raises(ValueError):
@@ -570,6 +579,9 @@ class TestGapRepair:
 _runtimes = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 60.0])
 _estimate_factors = st.sampled_from([0.5, 0.6, 0.75, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0])
 _submit_gaps = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0])
+# a deadline this long after the submit, or none, so that edf orders the
+# queue apart from fcfs
+_deadline_slacks = st.none() | st.sampled_from([0.0, 3.0, 10.0, 50.0, 200.0])
 
 
 @st.composite
@@ -578,14 +590,80 @@ def random_workloads(draw):
     n = draw(st.integers(min_value=5, max_value=150))  # a list size alone stays small
     rows = draw(st.lists(
         st.tuples(_submit_gaps, st.integers(min_value=1, max_value=total),
-                  _runtimes, _estimate_factors),
+                  _runtimes, _estimate_factors, _deadline_slacks),
         min_size=n, max_size=n,
     ))
     jobs, submit = [], 0.0
-    for k, (gap, cpus, runtime, factor) in enumerate(rows):
+    for k, (gap, cpus, runtime, factor, slack) in enumerate(rows):
         submit += gap
-        jobs.append(make_job(k + 1, submit, runtime, cpus, estimate=factor * runtime))
+        deadline = None if slack is None else submit + slack
+        jobs.append(make_job(k + 1, submit, runtime, cpus, estimate=factor * runtime,
+                             deadline=deadline))
     return make_workload(*jobs), ClusterConfig(total)
+
+
+# each queue token's sort key and whether a job that does not fit ends the
+# scan (False) or is passed over (True), written out apart from the policies
+QUEUE_REFERENCE = {
+    "fcfs": (lambda j: (j.submit_time, j.job_id), False),
+    "lcfs": (lambda j: (-j.submit_time, j.job_id), False),
+    "sjf": (lambda j: (j.runtime_estimate, j.submit_time, j.job_id), False),
+    "smjf": (lambda j: (j.cpus, j.submit_time, j.job_id), False),
+    "edf": (lambda j: (j.submit_time if j.deadline is None else j.deadline,
+                       j.submit_time, j.job_id), False),
+    "first-fit": (lambda j: (j.submit_time, j.job_id), True),
+    "pbs-pro": (lambda j: (j.submit_time, j.job_id), True),
+}
+
+
+def reference_starts(token, view):
+    key, skip_blocked = QUEUE_REFERENCE[token]
+    starts, free = [], view.free_cpus
+    for job in sorted(view.queue, key=key):
+        if job.cpus > free:
+            if skip_blocked:
+                continue
+            break
+        starts.append(job)
+        free -= job.cpus
+    return starts
+
+
+class Compared(Policy):
+    """Wraps a policy and asserts, at every select, that it starts what
+    want(view) gives; skipped counts the calls that started a job from
+    behind one left waiting."""
+
+    def __init__(self, inner, want):
+        self.inner = inner
+        self.name = inner.name
+        self.want = want
+        self.calls = self.skipped = 0
+
+    def select(self, view):
+        got = self.inner.select(view)
+        assert got == self.want(view), (self.name, view.now)
+        self.calls += 1
+        at = [k for k, job in enumerate(view.queue) if job in got]
+        if at and at[-1] >= len(at):  # the started jobs do not lead the queue
+            self.skipped += 1
+        return got
+
+
+class TestEveryToken:
+    @settings(max_examples=60, deadline=None)
+    @given(random_workloads())
+    def test_guarantees_on_random_workloads(self, case):
+        wl, cluster = case
+        submits = {job.job_id: job.submit_time for job in wl}
+        for token in POLICY_TOKENS:
+            policy = make_policy(token)
+            if token in QUEUE_REFERENCE:
+                policy = Compared(policy, lambda v, token=token: reference_starts(token, v))
+            trace = run(wl, cluster, policy)
+            assert capacity_breaches(trace) == [], token
+            assert len(trace.records) == len(wl.jobs), token
+            assert all(r.start >= submits[r.job_id] for r in trace.records), token
 
 
 class WithHardWindows(Policy):

@@ -12,12 +12,14 @@ from predictsched import (
     SynthSpec,
     SynthTemplate,
     ThresholdState,
+    feedback_to_csv,
     make_policy,
     run,
     run_with_telemetry,
     synth_workload,
     trace_to_csv,
 )
+from predictsched import simulator
 from predictsched.policies import Policy
 from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
 
@@ -161,6 +163,19 @@ class TestEngineGuards:
         with pytest.raises(ValueError, match="tick and horizon must be finite and > 0"):
             ForecasterConfig(**{field: value})
 
+    def test_forecaster_config_without_dl_rejected(self):
+        wl = make_workload(make_job(1, 0, 10, 1))
+        with pytest.raises(ValueError, match="forecaster config needs the dl policy"):
+            run(wl, ClusterConfig(1), "fcfs", ForecasterConfig())
+
+    def test_forecast_ticks_bounded_while_running(self, monkeypatch):
+        # the last finish could be at 1,000 s, which passes the check made
+        # up front, but the queue pushes it to 20,000 s
+        monkeypatch.setattr(simulator, "_MAX_FORECAST_TICKS", 1_000)
+        wl = make_workload(*(make_job(i + 1, 0, 1000, 1) for i in range(20)))
+        with pytest.raises(ValueError, match="made more than 1,000 ticks"):
+            run(wl, ClusterConfig(1), "dl", ForecasterConfig(tick=1.0))
+
     def test_runtime_vanishing_at_start_is_fatal(self):
         # job 2 waits until t = 2**53, where adding 1 s rounds back to t
         wl = make_workload(make_job(1, 0, 2.0**53, 1), make_job(2, 0, 1, 1))
@@ -231,6 +246,14 @@ class TestMatchArrival:
 
 
 class TestReservationScenarios:
+    def test_dl_without_config_forecasts_with_the_defaults(self):
+        wl, cluster = weekly_workload(), ClusterConfig(8)
+        trace, tel = run_with_telemetry(wl, cluster, "dl")
+        want_trace, want_tel = run_with_telemetry(wl, cluster, "dl", ForecasterConfig())
+        assert len(tel.reservations) == len(want_tel.reservations) > 0
+        assert trace_to_csv(trace) == trace_to_csv(want_trace)
+        assert feedback_to_csv(tel.feedback) == feedback_to_csv(want_tel.feedback)
+
     def test_hard_reservation_matched_arrival_starts_inside(self):
         wl = reservation_workload()
         fc = surgical_config(t_low=0.01, t_high=0.02)

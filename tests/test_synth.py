@@ -112,6 +112,15 @@ count = 20
         assert spec.templates[0].submit_jitter == 0.01
         assert spec.templates[1].period == 43200
 
+    def test_required_keys_alone_take_the_dataclass_defaults(self):
+        spec = parse_synth_spec(
+            "[workload]\nhorizon = 100\n"
+            "[template.a]\nuser_id = 1\ncpus = 2\nruntime = 10\nperiod = 50\n"
+        )
+        assert spec == SynthSpec(
+            horizon=100.0, templates=(SynthTemplate(user_id=1, cpus=2, runtime=10.0, period=50.0),)
+        )
+
     def test_missing_section(self):
         with pytest.raises(ValueError, match="workload"):
             parse_synth_spec("[template.x]\nuser_id = 1\n")
