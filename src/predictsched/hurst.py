@@ -101,13 +101,14 @@ def fractional_gaussian_noise(
     if hurst == 0.5:
         return rng.standard_normal(n)
 
-    k = np.arange(n, dtype=float)
+    # the circulant's first row is gamma(0..n) then gamma(n-1..1), length 2n
+    k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * (
         np.abs(k - 1) ** (2 * hurst)
         - 2 * np.abs(k) ** (2 * hurst)
         + np.abs(k + 1) ** (2 * hurst)
     )
-    row = np.concatenate([gamma, [0.0], gamma[:0:-1]])
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
     lam = np.fft.fft(row).real
     if np.any(lam < -1e-8):
         raise ValueError(f"circulant embedding failed for H={hurst}")

@@ -144,7 +144,10 @@ class CapacityProfile:
             cand = times[i]
 
     def reserve(self, start: float, duration: float, cpus: int) -> None:
-        end = start + duration
+        self.hold(start, start + duration, cpus)
+
+    def hold(self, start: float, end: float, cpus: int) -> None:
+        """Carve cpus out of [start, end), with end kept exact."""
         i = self._split(start)
         free = self.free
         for k in range(i, self._split(end)):
@@ -348,10 +351,12 @@ class ConservativeBackfill(Planner):
     """Every queued job holds a planned start; early starts never displace one.
 
     Each job is planned at its earliest fit, in submit order, on the plan
-    that Planner keeps between calls and checks against the fresh profile;
-    with estimates that do not understate runtimes, re-planning can only
-    move planned starts earlier.  first_planned keeps each job's original
-    promise for auditing.
+    that Planner keeps between calls and checks against the fresh profile.
+    Re-planning does not always move planned starts earlier, even with
+    estimates that do not understate runtimes: an early finish can let a
+    wide job ahead in the queue take the slot a later job was planned in,
+    and push that job past its first plan.  first_planned keeps each job's
+    original promise for auditing.
     """
 
     name = "cons-bf"

@@ -5,10 +5,14 @@ processors.  The engine owns all mutable state: the event heap, the queue,
 running allocations, and (when the `dl` policy runs its forecaster) the
 reservation book and adaptive confidence thresholds.
 
+Submits stream from the workload, which is already in (submit_time,
+job_id) order; the event heap holds only the events the run creates:
+finishes, reservation starts and expiries, and the next forecast tick.
 Equal-time events process as finish < reservation expiry < submit <
 reservation start < forecast tick, so capacity frees before same-instant
-demands see it.  Every tie inside a class breaks on a monotone sequence
-number, which makes repeated runs byte-identical.
+demands see it.  Every tie inside a class breaks on workload order (for
+submits) or a monotone sequence number, which makes repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class SimulationError(RuntimeError):
 
 # event kinds in equal-time processing order
 _FINISH, _RES_EXPIRE, _SUBMIT, _RES_START, _FORECAST = range(5)
+# the heap top the loop compares the next submit with once the heap is empty
+_NO_EVENT = (math.inf,)
 
 # a prediction matches arrivals within this fraction of its pattern's
 # period of the predicted submit, and never more than 6 h either side
@@ -73,6 +79,7 @@ class ResState(enum.Enum):
 
 # a member looked up through the class costs ~10x a global name on hot paths
 _PENDING, _HELD, _CONSUMED, _CANCELLED, _EXPIRED = ResState
+_HARD = Decision.HARD_RESERVE
 
 
 @dataclass
@@ -267,7 +274,7 @@ class _Engine:
         self.now = 0.0
         self.events: list[tuple[float, int, int, object]] = []
         self.seq = 0
-        self.submitted: list[Job] = []
+        self.submits = 0  # workload.jobs[:submits] have been submitted
         self.starts: dict[int, float] = {}
         self.finishes: dict[int, float] = {}
         self.thresholds = forecaster.thresholds if forecaster else ThresholdState()
@@ -284,8 +291,6 @@ class _Engine:
         self.unfinished = len(workload.jobs)
         self._policy_pending = False
 
-        for job in workload:
-            self._push(job.submit_time, _SUBMIT, job)
         if forecaster is not None and self.unfinished:
             self._push(forecaster.tick, _FORECAST, None)
 
@@ -297,70 +302,87 @@ class _Engine:
         self.seq += 1
 
     def run(self) -> SimTrace:
-        # equal-time events settle before the policy runs once for the
-        # instant; a policy must never plan against a half-freed cluster
-        while self.events:
-            time, kind, _seq, payload = heapq.heappop(self.events)
-            self.now = time
-            if kind == _FINISH:
-                self._on_finish(payload)
-            elif kind == _RES_EXPIRE:
-                self._on_res_expire(payload)
-            elif kind == _SUBMIT:
-                self._on_submit(payload)
-            elif kind == _RES_START:
-                self._on_res_start(payload)
+        # the next submit goes first when its (time, _SUBMIT) is at most the
+        # heap top's (time, kind); no heap event is a submit, so equal times
+        # keep the kind order.  Equal-time events settle before the policy
+        # runs once for the instant: a policy must never plan against a
+        # half-freed cluster.
+        jobs = self.workload.jobs
+        n = len(jobs)
+        events = self.events
+        queue = self.state.queue
+        k = 0
+        next_submit = jobs[0].submit_time if n else math.inf
+        while k < n or events:
+            top = events[0] if events else _NO_EVENT
+            if next_submit < top[0] or (next_submit == top[0] and top[1] > _SUBMIT):
+                job = jobs[k]
+                k += 1
+                next_submit = jobs[k].submit_time if k < n else math.inf
+                time = self.now = job.submit_time
+                self._on_submit(job)
             else:
-                self._on_forecast()
-            if self._policy_pending and (
-                not self.events or self.events[0][0] > time
+                time, kind, _seq, payload = heapq.heappop(events)
+                self.now = time
+                if kind == _FINISH:
+                    self._on_finish(payload)
+                elif kind == _RES_EXPIRE:
+                    self._on_res_expire(payload)
+                elif kind == _RES_START:
+                    self._on_res_start(payload)
+                else:
+                    self._on_forecast()
+            if (
+                self._policy_pending
+                and next_submit > time
+                and (not events or events[0][0] > time)
             ):
                 self._policy_pending = False
-                self._invoke_policy()
+                if queue:  # an empty queue has nothing to decide
+                    self._invoke_policy()
             self._check_accounting()
         if self.unfinished:
             raise SimulationError(f"{self.unfinished} jobs never finished")
         self.telemetry.final_thresholds = self.thresholds
-        records = tuple(
-            TraceRecord(
-                job_id=j.job_id,
-                submit=j.submit_time,
-                start=self.starts[j.job_id],
-                finish=self.finishes[j.job_id],
-                cpus=j.cpus,
-            )
-            for j in self.workload
-        )
-        return SimTrace(
-            records=records, cluster=self.cluster, policy_name=self.policy.name
-        )
+        # positional construction: keywords cost about twice as much on a
+        # frozen dataclass, and there is one record per job
+        starts, finishes = self.starts, self.finishes
+        records = tuple([
+            TraceRecord(j.job_id, j.submit_time, starts[j.job_id], finishes[j.job_id], j.cpus)
+            for j in jobs
+        ])
+        return SimTrace(records, self.cluster, self.policy.name)
 
     # -- capacity helpers ------------------------------------------------
 
     def _check_accounting(self) -> None:
-        running = sum(job.cpus for job, _s, _e in self.state.running.values())
-        hard = soft = 0
-        for r in self.state.active_reservations.values():
-            if r.state is _HELD:
-                if r.hard:
-                    hard += r.cpus
-                else:
-                    soft += r.cpus
-            elif r.state is not _PENDING:
-                raise SimulationError(
-                    f"ended reservation {r.res_id} still in the book at t={self.now}"
-                )
-        expected_free = self.state.total_cpus - running - hard
-        if self.state.free_cpus != expected_free or soft != self.soft_held:
+        # a full recount after every event: every running job, the whole book
+        state = self.state
+        free, total, soft_held = state.free_cpus, state.total_cpus, self.soft_held
+        running = hard = soft = 0
+        for row in state.running.values():  # a plain loop beats sum() on a few rows
+            running += row[0].cpus
+        book = state.active_reservations
+        if book:
+            for r in book.values():
+                if r.state is _HELD:
+                    if r.decision is _HARD:
+                        hard += r.cpus
+                    else:
+                        soft += r.cpus
+                elif r.state is not _PENDING:
+                    raise SimulationError(
+                        f"ended reservation {r.res_id} still in the book at t={self.now}"
+                    )
+        expected_free = total - running - hard
+        if free != expected_free or soft != soft_held:
             raise SimulationError(
                 f"capacity accounting diverged at t={self.now}: "
-                f"free={self.state.free_cpus} expected={expected_free}"
+                f"free={free} expected={expected_free}"
             )
-        if not 0 <= self.state.free_cpus <= self.state.total_cpus:
-            raise SimulationError(
-                f"free cpus out of range at t={self.now}: {self.state.free_cpus}"
-            )
-        if self.soft_held > self.state.free_cpus:
+        if not 0 <= free <= total:
+            raise SimulationError(f"free cpus out of range at t={self.now}: {free}")
+        if soft_held > free:
             raise SimulationError("soft holds exceed free capacity")
 
     def _cancel_youngest_soft(self) -> None:
@@ -398,26 +420,28 @@ class _Engine:
         )
 
     def _start_job(self, job: Job) -> None:
-        if job.cpus > self.state.free_cpus:
+        state, now, cpus, job_id = self.state, self.now, job.cpus, job.job_id
+        if cpus > state.free_cpus:
             raise SimulationError(
-                f"start of job {job.job_id} exceeds capacity "
-                f"({job.cpus} > {self.state.free_cpus} free)"
+                f"start of job {job_id} exceeds capacity "
+                f"({cpus} > {state.free_cpus} free)"
             )
-        finish = self.now + job.runtime
-        if finish == self.now:
-            raise SimulationError(f"job {job.job_id}: runtime vanishes at start t={self.now}")
-        while job.cpus > self.state.free_cpus - self.soft_held:
+        finish = now + job.runtime
+        if finish == now:
+            raise SimulationError(f"job {job_id}: runtime vanishes at start t={now}")
+        while cpus > state.free_cpus - self.soft_held:
             self._cancel_youngest_soft()
-        self.state.queue.pop(job.job_id, None)
-        self.state.free_cpus -= job.cpus
-        self.state.running[job.job_id] = (job, self.now, self.now + job.runtime_estimate)
-        self.starts[job.job_id] = self.now
-        self._push(finish, _FINISH, job)
+        state.queue.pop(job_id, None)
+        state.free_cpus -= cpus
+        state.running[job_id] = (job, now, now + job.runtime_estimate)
+        self.starts[job_id] = now
+        heapq.heappush(self.events, (finish, _FINISH, self.seq, job))
+        self.seq += 1
 
     # -- event handlers ---------------------------------------------------
 
     def _on_submit(self, job: Job) -> None:
-        self.submitted.append(job)
+        self.submits += 1
         res = None
         if self.fc is not None:
             res = match_arrival(
@@ -469,19 +493,25 @@ class _Engine:
                 f"a forecast tick of {fc.tick:g} s made more than "
                 f"{_MAX_FORECAST_TICKS:,} ticks before the last job finished; raise the tick"
             )
-        if len(self.submitted) >= 2:
-            self.miner.add(self.submitted[self.mined :])
-            self.mined = len(self.submitted)
+        if self.submits >= 2:
+            self.miner.add(self.workload.jobs[self.mined : self.submits])
+            self.mined = self.submits
             patterns = self.miner.patterns()
             if patterns:
-                for pred, pattern in score_predictions(
+                scored = score_predictions(
                     patterns, self.now, fc.horizon, fc.similarity, fc.mode
-                ):
-                    self._consider_prediction(pred, pattern)
+                )
+                # within the tick only the reservations it admits change the
+                # capacity, so one profile from now serves every prediction
+                profile = self._admission_profile(self.now) if scored else None
+                for pred, pattern in scored:
+                    self._consider_prediction(pred, pattern, profile)
         if self.unfinished:
             self._push(self.now + fc.tick, _FORECAST, None)
 
-    def _consider_prediction(self, pred: PredictedJob, pattern: Pattern) -> None:
+    def _consider_prediction(
+        self, pred: PredictedJob, pattern: Pattern, profile: CapacityProfile
+    ) -> None:
         width = min(_MATCH_WINDOW_FRAC * pattern.period, _MATCH_WINDOW_CAP)
         if self._duplicate_reservation(pred, width):
             return
@@ -489,7 +519,7 @@ class _Engine:
         window_start = max(self.now, pred.predicted_submit - width)
         window_end = pred.predicted_submit + width
         if decision is not Decision.IGNORE and not self._window_feasible(
-            window_start, window_end, pred.cpus
+            window_start, window_end, pred.cpus, profile
         ):
             self.telemetry.reservations_skipped += 1
             return
@@ -506,6 +536,7 @@ class _Engine:
         self.state.active_reservations[res.res_id] = res
         self.telemetry.reservations.append(res)
         if res.holds_capacity:
+            profile.hold(window_start, window_end, res.cpus)
             self._push(window_start, _RES_START, res)
         self._push(window_end, _RES_EXPIRE, res)
 
@@ -524,43 +555,53 @@ class _Engine:
                 return True
         return False
 
-    def _window_feasible(self, ws: float, we: float, cpus: int) -> bool:
+    def _admission_profile(self, t0: float) -> CapacityProfile:
+        """Free cpus from t0 on, which is not before now: running jobs until
+        their estimated finishes and the live capacity-holding reservations
+        over their windows.  Queued jobs are left out, since planner policies
+        route around blocks, and an overdue estimate holds nothing."""
+        deltas: dict[float, int] = {}
+        for job, _start, fin in self.state.running.values():
+            if fin > t0:
+                deltas[t0] = deltas.get(t0, 0) - job.cpus
+                deltas[fin] = deltas.get(fin, 0) + job.cpus
+        for res in self.state.active_reservations.values():
+            if res.holds_capacity and res.window_end > t0:
+                start = max(res.window_start, t0)
+                deltas[start] = deltas.get(start, 0) - res.cpus
+                deltas[res.window_end] = deltas.get(res.window_end, 0) + res.cpus
+        # the loads that begin at t0 are taken into the first level
+        return CapacityProfile(t0, self.state.total_cpus + deltas.get(t0, 0), deltas)
+
+    def _window_feasible(
+        self, ws: float, we: float, cpus: int, profile: Optional[CapacityProfile] = None
+    ) -> bool:
         """Would holding `cpus` through [ws, we) ever exceed the cluster?
 
-        Projects running jobs at their estimated finishes plus the live
-        capacity-holding reservations onto a capacity profile from ws;
-        queued jobs are ignored since planner policies route around blocks.
-        ws is not before now, so an overdue estimate holds nothing.
+        profile is the admission profile from some time at or before ws;
+        without one, the check builds its own from ws.  Loads that end
+        before ws or start after we do not touch the answer.
         """
-        running = self.state.running.values()
-        loads = [(ws, fin, job.cpus) for job, _start, fin in running if fin > ws]
-        for res in self.state.active_reservations.values():
-            if res.holds_capacity and res.window_end > ws and res.window_start < we:
-                loads.append((max(res.window_start, ws), res.window_end, res.cpus))
-        deltas: dict[float, int] = {}
-        for t0, t1, held in loads:
-            deltas[t0] = deltas.get(t0, 0) - held
-            deltas[t1] = deltas.get(t1, 0) + held
-        # the profile starts at ws, where the loads that begin there are taken
-        profile = CapacityProfile(ws, self.state.total_cpus + deltas.get(ws, 0), deltas)
-        steps = bisect.bisect_left(profile.times, we)  # the steps that start before we
-        return min(profile.free[:steps], default=cpus) >= cpus
+        if profile is None:
+            profile = self._admission_profile(ws)
+        times = profile.times
+        lo = bisect.bisect_right(times, ws) - 1  # the step that holds at ws
+        hi = bisect.bisect_left(times, we)  # the steps that start before we
+        return we <= ws or min(profile.free[lo:hi]) >= cpus
 
     # -- policy dispatch ----------------------------------------------------
 
     def _invoke_policy(self) -> None:
         # the queue and the running rows are kept in the view's order, so
-        # the view is two tuple copies; an empty queue has nothing to decide
+        # the view is two tuple copies
         state = self.state
-        if not state.queue:
-            return
         view = SchedulerView(
-            now=self.now,
-            total_cpus=state.total_cpus,
-            free_cpus=state.free_cpus,
-            queue=tuple(state.queue.values()),
-            running=tuple(state.running.values()),
-            hard_windows=self._hard_windows() if self.fc is not None else (),
+            self.now,
+            state.total_cpus,
+            state.free_cpus,
+            tuple(state.queue.values()),
+            tuple(state.running.values()),
+            self._hard_windows() if self.fc is not None else (),
         )
         for job in self.policy.select(view):
             if job.job_id not in state.queue:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from predictsched import (
     ClusterConfig,
@@ -42,6 +43,34 @@ def make_job(
 def make_workload(*jobs: Job) -> Workload:
     ordered = tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id)))
     return Workload(jobs=ordered)
+
+
+# runtimes and submit gaps on small grids, so that finishes, estimates and
+# submits often fall on the same instant; a gap of 0 is a burst
+RUNTIMES = st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 30.0, 60.0])
+ESTIMATE_FACTORS = st.sampled_from([0.5, 0.6, 0.75, 1.0, 1.0, 1.0, 1.5, 2.0, 3.0])
+SUBMIT_GAPS = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0, 10.0, 40.0])
+# a deadline this long after the submit, or none, so that edf orders the
+# queue apart from fcfs
+DEADLINE_SLACKS = st.none() | st.sampled_from([0.0, 3.0, 10.0, 50.0, 200.0])
+
+
+@st.composite
+def random_workloads(draw, estimate_factors=ESTIMATE_FACTORS):
+    total = draw(st.integers(min_value=2, max_value=16))
+    n = draw(st.integers(min_value=5, max_value=150))  # a list size alone stays small
+    rows = draw(st.lists(
+        st.tuples(SUBMIT_GAPS, st.integers(min_value=1, max_value=total),
+                  RUNTIMES, estimate_factors, DEADLINE_SLACKS),
+        min_size=n, max_size=n,
+    ))
+    jobs, submit = [], 0.0
+    for k, (gap, cpus, runtime, factor, slack) in enumerate(rows):
+        submit += gap
+        deadline = None if slack is None else submit + slack
+        jobs.append(make_job(k + 1, submit, runtime, cpus, estimate=factor * runtime,
+                             deadline=deadline))
+    return make_workload(*jobs), ClusterConfig(total)
 
 
 def capacity_breaches(trace: SimTrace) -> list[float]:

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of each demo's stdout: a change to any byte fails here
 PINNED_STDOUT = {
-    "01_workload_and_hurst.py": "8ec12c7d45681b6c976226bbb2e2eee79440e810a54ffd39bf8dca5691f70d92",
+    "01_workload_and_hurst.py": "d48d8256f327b7a1aa374214a4eac2896feb350ebcb23695a5737a719cb2a2a2",
     "02_forecasting_pipeline.py": "7a2fc99049c19c8ea2791609c4885aed8a8e57bde303465eaa9e600aaaa1042d",
     "03_policy_showdown.py": "213f8d8677aab12660dbbda3ccc59c44471f67bd95a1118af459407f751842bd",
     "04_ranking_replay.py": "0ef4476c0c7b988e5c78f996cea082191ce1415c0ad571759f4dc10bd30cd837",

@@ -1,7 +1,10 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from predictsched import (
+    POLICY_TOKENS,
     ClusterConfig,
     Decision,
     ForecasterConfig,
@@ -21,6 +24,7 @@ from predictsched import (
 )
 from predictsched import simulator
 from predictsched.policies import Policy
+from predictsched.simtrace import SimTrace, TraceRecord
 from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
 
 from conftest import (
@@ -30,6 +34,7 @@ from conftest import (
     lifecycle_workload,
     make_job,
     make_workload,
+    random_workloads,
     weekly_workload,
 )
 
@@ -575,6 +580,143 @@ class TestWindowFeasibleMatchesSweep:
     @given(admission_cases())
     def test_profile_check_equals_sweep(self, case):
         engine, ws, we, cpus = case
-        assert engine._window_feasible(ws, we, cpus) == sweep_window_feasible(
-            engine, ws, we, cpus
+        expected = sweep_window_feasible(engine, ws, we, cpus)
+        assert engine._window_feasible(ws, we, cpus) == expected
+        tick_profile = engine._admission_profile(engine.now)
+        assert engine._window_feasible(ws, we, cpus, tick_profile) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(admission_cases(), _t, _t, st.integers(1, 12))
+    def test_held_window_equals_one_in_the_book(self, case, lead, length, cpus):
+        # a tick carves each reservation it admits into its one profile; the
+        # next check must answer as if that reservation were in the book
+        engine, ws, we, held = case
+        profile = engine._admission_profile(engine.now)
+        profile.hold(ws, we, held)
+        pred = PredictedJob(pattern_id=99, predicted_submit=ws, cpus=held, runtime=1.0)
+        engine.state.active_reservations[99] = Reservation(
+            99, pred, held, ws, we, Decision.HARD_RESERVE, 0.0
         )
+        ws2 = engine.now + lead
+        we2 = ws2 + length
+        assert engine._window_feasible(ws2, we2, cpus, profile) == sweep_window_feasible(
+            engine, ws2, we2, cpus
+        )
+
+
+class ParentLoopEngine(_Engine):
+    """The engine as it was before submits streamed: every submit goes onto
+    the heap up front, the loop pops them like any other event, and every
+    admission check builds its own profile."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        for job in self.workload:
+            self._push(job.submit_time, simulator._SUBMIT, job)
+
+    def run(self):
+        while self.events:
+            time, kind, _seq, payload = heapq.heappop(self.events)
+            self.now = time
+            if kind == simulator._FINISH:
+                self._on_finish(payload)
+            elif kind == simulator._RES_EXPIRE:
+                self._on_res_expire(payload)
+            elif kind == simulator._SUBMIT:
+                self._on_submit(payload)
+            elif kind == simulator._RES_START:
+                self._on_res_start(payload)
+            else:
+                self._on_forecast()
+            if self._policy_pending and (not self.events or self.events[0][0] > time):
+                self._policy_pending = False
+                if self.state.queue:
+                    self._invoke_policy()
+            self._check_accounting()
+        assert not self.unfinished
+        self.telemetry.final_thresholds = self.thresholds
+        return SimTrace(
+            tuple(
+                TraceRecord(j.job_id, j.submit_time, self.starts[j.job_id],
+                            self.finishes[j.job_id], j.cpus)
+                for j in self.workload
+            ),
+            self.cluster,
+            self.policy.name,
+        )
+
+    def _window_feasible(self, ws, we, cpus, profile=None):
+        return super()._window_feasible(ws, we, cpus)
+
+
+class HeapBoundEngine(_Engine):
+    """Checks after every event that a run without a forecaster keeps one
+    heap entry per running job, its finish, and nothing for future submits."""
+
+    checks = 0
+
+    def _check_accounting(self):
+        super()._check_accounting()
+        assert len(self.events) == len(self.state.running)
+        self.checks += 1
+
+
+def _replay(engine_class, wl, cluster, token, fc=None):
+    engine = engine_class(wl, cluster, make_policy(token), fc)
+    trace = engine.run()
+    return trace_to_csv(trace), engine.telemetry
+
+
+class TestStreamedSubmits:
+    @settings(max_examples=60, deadline=None)
+    @given(random_workloads())
+    def test_every_token_matches_the_heap_loop(self, case):
+        wl, cluster = case
+        for token in POLICY_TOKENS:
+            fc = ForecasterConfig() if token == "dl" else None
+            streamed, _ = _replay(_Engine, wl, cluster, token, fc)
+            assert streamed == _replay(ParentLoopEngine, wl, cluster, token, fc)[0], token
+
+    @pytest.mark.parametrize(
+        "build", [lifecycle_workload, weekly_workload, backlog_workload]
+    )
+    def test_dl_matches_the_heap_loop(self, build):
+        wl, cluster = build(), ClusterConfig(16)
+        fc = ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
+        streamed, tel = _replay(_Engine, wl, cluster, "dl", fc)
+        heap, ref = _replay(ParentLoopEngine, wl, cluster, "dl", fc)
+        assert tel.reservations, "scenario should produce reservations"
+        assert streamed == heap
+        assert feedback_to_csv(tel.feedback) == feedback_to_csv(ref.feedback)
+        assert tel.reservations_skipped == ref.reservations_skipped
+
+    def test_submit_at_a_finish_sees_the_freed_capacity(self):
+        # job 900 holds the whole cluster until 228800, where a matching
+        # arrival consumes the pending hold of the tick at 228000; the finish
+        # settles first, so the arrival starts on submit, ahead of job 901,
+        # which was queued before it and needs all eight cpus
+        block = make_job(900, 222000.0, 6800.0, 8, user=9)
+        wide = make_job(901, 225000.0, 1000.0, 8, user=9)
+        early = make_job(500, 228800.0, 3600.0, 4, user=2)
+        wl = reservation_workload(extra=[block, wide, early])
+        fc = ForecasterConfig(
+            thresholds=ThresholdState(0.01, 0.02, min_gap=0.005),
+            tick=228000.0,
+            horizon=14400.0,
+        )
+        streamed, tel = _replay(_Engine, wl, ClusterConfig(8), "dl", fc)
+        assert streamed == _replay(ParentLoopEngine, wl, ClusterConfig(8), "dl", fc)[0]
+        (res,) = tel.reservations
+        assert res.state is ResState.CONSUMED
+        starts = {r.job_id: r.start for r in run(wl, ClusterConfig(8), "dl", fc).records}
+        assert starts[500] == 228800.0
+        assert starts[901] == 232400.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_workloads())
+    def test_heap_holds_only_the_running_finishes(self, case):
+        wl, cluster = case
+        for token in ("fcfs", "lcfs", "first-fit"):
+            engine = HeapBoundEngine(wl, cluster, make_policy(token), None)
+            engine.run()
+            assert engine.checks == 2 * len(wl.jobs)
