@@ -15,7 +15,6 @@ import csv
 import enum
 import io
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -42,9 +41,11 @@ class PatternGroup:
 def _make_group(member_ids: Sequence[int], lengths: Sequence[int]) -> PatternGroup:
     if not lengths:
         raise ValueError("group must be nonempty")
-    mean = statistics.fmean(lengths)
-    # population deviation: singleton cohorts are legal and get std 0
-    std = math.sqrt(statistics.fmean((x - mean) ** 2 for x in lengths))
+    # statistics.fmean's arithmetic without its overhead; the deviation is
+    # the population one: singleton cohorts are legal and get std 0
+    n = len(lengths)
+    mean = math.fsum(lengths) / n
+    std = math.sqrt(math.fsum([(x - mean) ** 2 for x in lengths]) / n)
     return PatternGroup(
         member_pattern_ids=tuple(member_ids),
         lengths=tuple(lengths),

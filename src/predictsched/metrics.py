@@ -2,12 +2,17 @@
 
 All three objectives read nothing but the per-job (submit, start, finish,
 cpus) records plus the cluster size, so any scheduler producing a trace can
-be scored identically.
+be scored identically.  `objectives` turns the records into one array once
+and derives all three from its columns.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .simtrace import SimTrace
 from .workload import ClusterConfig
@@ -27,24 +32,67 @@ class ObjectiveVector:
         return (self.makespan, self.utilization, self.slowdown)
 
 
-def makespan(trace: SimTrace) -> float:
-    """Completion time of the last job (clock origin at the earliest submit)."""
-    if not trace.records:
+_ROW = operator.attrgetter("submit", "start", "finish", "cpus")
+
+
+def _columns(trace: SimTrace) -> np.ndarray:
+    """The records as float rows of (submit, start, finish, cpus)."""
+    records = trace.records
+    if not records:
         raise ValueError("empty trace")
-    return max(r.finish for r in trace.records)
+    flat = itertools.chain.from_iterable(map(_ROW, records))
+    return np.fromiter(flat, np.float64, 4 * len(records)).reshape(-1, 4)
+
+
+def _ordered_sum(x: np.ndarray) -> float:
+    """Sum of x added left to right, as a loop would; np.sum pairs terms up
+    and may differ in the last bits, which the ranking locks would see."""
+    return float(np.cumsum(x)[-1])
+
+
+def _makespan(cols: np.ndarray) -> float:
+    return float(cols[:, 2].max())
+
+
+def _slowdown(cols: np.ndarray, trace: SimTrace) -> float:
+    submit, start, finish = cols[:, 0], cols[:, 1], cols[:, 2]
+    run = finish - start
+    bad = np.flatnonzero(run <= 0)
+    if bad.size:
+        raise ValueError(f"job {trace.records[bad[0]].job_id}: zero-runtime record")
+    return _ordered_sum((finish - submit) / run)
+
+
+def _utilization(cols: np.ndarray, total: int) -> float:
+    # every record time is an instant; cpus are integers, so the deltas at
+    # an instant and their running levels are exact in any order
+    grid, at = np.unique(cols[:, :3], return_inverse=True)
+    submit, start, finish = at.reshape(-1, 3).T
+    cpus, m = cols[:, 3], len(grid)
+    freed = np.bincount(finish, cpus, m)
+    active = np.cumsum(np.bincount(start, cpus, m) - freed)[:-1]
+    requested = np.cumsum(np.bincount(submit, cpus, m) - freed)[:-1]
+    demand = requested > 0  # stretches with no demand are left out
+    if not demand.any():
+        raise ValueError("trace has no demand intervals")
+    width = np.diff(grid)[demand]
+    u = active[demand] / np.minimum(total, requested[demand])
+    return 100.0 * _ordered_sum(u * width) / _ordered_sum(width)
+
+
+def makespan(trace: SimTrace) -> float:
+    """Latest finish time in the trace, on the trace's own clock.
+
+    The parsers put the first submit at 0, so there it is the time from the
+    first submit to the last finish; a workload built in code may start
+    elsewhere, and its makespan still reads the latest finish.
+    """
+    return _makespan(_columns(trace))
 
 
 def slowdown(trace: SimTrace) -> float:
     """Sum over jobs of response time over run time; n jobs give at least n."""
-    if not trace.records:
-        raise ValueError("empty trace")
-    total = 0.0
-    for r in trace.records:
-        run = r.finish - r.start
-        if run <= 0:
-            raise ValueError(f"job {r.job_id}: zero-runtime record")
-        total += (r.finish - r.submit) / run
-    return total
+    return _slowdown(_columns(trace), trace)
 
 
 def resource_utilization(trace: SimTrace, cluster: ClusterConfig) -> float:
@@ -55,46 +103,13 @@ def resource_utilization(trace: SimTrace, cluster: ClusterConfig) -> float:
     not count against the schedule.  Stretches with no demand at all are
     excluded from the average.
     """
-    if not trace.records:
-        raise ValueError("empty trace")
-    end = makespan(trace)
-    total = cluster.total_cpus
-
-    # capacity deltas at each breakpoint: active while running, requested while present
-    times: set[float] = {0.0, end}
-    for r in trace.records:
-        times.update((r.submit, r.start, r.finish))
-    grid = sorted(t for t in times if 0.0 <= t <= end)
-
-    active_delta: dict[float, float] = {}
-    requested_delta: dict[float, float] = {}
-    for r in trace.records:
-        active_delta[r.start] = active_delta.get(r.start, 0) + r.cpus
-        active_delta[r.finish] = active_delta.get(r.finish, 0) - r.cpus
-        requested_delta[r.submit] = requested_delta.get(r.submit, 0) + r.cpus
-        requested_delta[r.finish] = requested_delta.get(r.finish, 0) - r.cpus
-
-    weighted = 0.0
-    covered = 0.0
-    active = 0.0
-    requested = 0.0
-    for i, t in enumerate(grid[:-1]):
-        active += active_delta.get(t, 0)
-        requested += requested_delta.get(t, 0)
-        width = grid[i + 1] - t
-        if width <= 0 or requested <= 0:
-            continue
-        u = active / min(total, requested)
-        weighted += u * width
-        covered += width
-    if covered == 0:
-        raise ValueError("trace has no demand intervals")
-    return 100.0 * weighted / covered
+    return _utilization(_columns(trace), cluster.total_cpus)
 
 
 def objectives(trace: SimTrace, cluster: ClusterConfig) -> ObjectiveVector:
+    cols = _columns(trace)
     return ObjectiveVector(
-        makespan=makespan(trace),
-        utilization=resource_utilization(trace, cluster),
-        slowdown=slowdown(trace),
+        makespan=_makespan(cols),
+        utilization=_utilization(cols, cluster.total_cpus),
+        slowdown=_slowdown(cols, trace),
     )

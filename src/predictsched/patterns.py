@@ -27,6 +27,7 @@ one-batch run of the same chainer.
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
 import io
 import math
@@ -411,13 +412,20 @@ def build_layers(
     Each pattern becomes a pseudo-job at its first occurrence with
     requirements (rep_cpus, rep_runtime * length); chaining then reapplies
     with the extra constraint that gaps exceed the member chains' spans.
+    Patterns of a user (of everyone, when not same_user) with fewer than
+    min_occurrences patterns in the layer cannot chain and are skipped.
     Returns all layers, the input included.
     """
     all_patterns = list(layer1)
     current = list(layer1)
     next_id = max((p.pattern_id for p in all_patterns), default=-1) + 1
     for layer in range(2, max_layer + 1):
-        if len(current) < 2:
+        # a key's clusters hold at most its patterns, and a cluster of fewer
+        # than min_occurrences makes no chain and so takes no id
+        if params.same_user:
+            held = collections.Counter(p.user_id for p in current)
+            current = [p for p in current if held[p.user_id] >= params.min_occurrences]
+        if len(current) < params.min_occurrences:
             break
         pseudo = [
             Job(

@@ -21,7 +21,7 @@ import bisect
 import enum
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
 from .confidence import (
@@ -205,7 +205,12 @@ def score_predictions(
         conf = confidence_factor(
             pattern.length + pred.steps_ahead, group_of[pred.pattern_id], mode
         )
-        scored.append((replace(pred, confidence=conf), pattern))
+        # built positionally: dataclasses.replace is several times slower
+        scored.append((
+            PredictedJob(pred.pattern_id, pred.predicted_submit, pred.cpus, pred.runtime,
+                         conf, pred.user_id, pred.steps_ahead),
+            pattern,
+        ))
     return scored
 
 

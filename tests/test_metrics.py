@@ -1,8 +1,11 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from predictsched import (
     ClusterConfig,
+    PolicyKind,
     SimTrace,
     TraceRecord,
     makespan,
@@ -12,7 +15,16 @@ from predictsched import (
     slowdown,
 )
 
-from conftest import make_job, make_workload
+from conftest import (
+    backlog_workload,
+    lifecycle_workload,
+    make_job,
+    make_workload,
+    overestimate_workload,
+    saturated_workload,
+    underestimate_workload,
+    weekly_workload,
+)
 
 
 def trace(records, total_cpus=8, policy="test"):
@@ -21,6 +33,59 @@ def trace(records, total_cpus=8, policy="test"):
         cluster=ClusterConfig(total_cpus),
         policy_name=policy,
     )
+
+
+def reference_objectives(trace, cluster):
+    """(makespan, utilization, slowdown) by the per-record and per-instant
+    loops the array version replaced, kept as its reference.  The loop grid
+    starts at 0, so it only agrees on traces whose times are all >= 0."""
+
+    def makespan(trace):
+        if not trace.records:
+            raise ValueError("empty trace")
+        return max(r.finish for r in trace.records)
+
+    def slowdown(trace):
+        if not trace.records:
+            raise ValueError("empty trace")
+        total = 0.0
+        for r in trace.records:
+            run = r.finish - r.start
+            if run <= 0:
+                raise ValueError(f"job {r.job_id}: zero-runtime record")
+            total += (r.finish - r.submit) / run
+        return total
+
+    def resource_utilization(trace, cluster):
+        if not trace.records:
+            raise ValueError("empty trace")
+        end = makespan(trace)
+        total = cluster.total_cpus
+        times = {0.0, end}
+        for r in trace.records:
+            times.update((r.submit, r.start, r.finish))
+        grid = sorted(t for t in times if 0.0 <= t <= end)
+        active_delta, requested_delta = {}, {}
+        for r in trace.records:
+            active_delta[r.start] = active_delta.get(r.start, 0) + r.cpus
+            active_delta[r.finish] = active_delta.get(r.finish, 0) - r.cpus
+            requested_delta[r.submit] = requested_delta.get(r.submit, 0) + r.cpus
+            requested_delta[r.finish] = requested_delta.get(r.finish, 0) - r.cpus
+        weighted = covered = active = requested = 0.0
+        for i, t in enumerate(grid[:-1]):
+            active += active_delta.get(t, 0)
+            requested += requested_delta.get(t, 0)
+            width = grid[i + 1] - t
+            if width <= 0 or requested <= 0:
+                continue
+            u = active / min(total, requested)
+            weighted += u * width
+            covered += width
+        if covered == 0:
+            raise ValueError("trace has no demand intervals")
+        return 100.0 * weighted / covered
+
+    return makespan(trace), resource_utilization(trace, cluster), slowdown(trace)
 
 
 class TestMakespan:
@@ -84,6 +149,65 @@ class TestUtilization:
         t = trace([(1, 0, 0, 10, 2), (2, 0, 5, 25, 4)], total_cpus=8)
         u = resource_utilization(t, ClusterConfig(8))
         assert 0 < u <= 100
+
+
+class TestNegativeTimes:
+    """Times before 0 are instants like any other."""
+
+    def test_early_job_counts_from_its_submit(self):
+        # [-5, 0): 1 of 1 requested; [0, 2): 1 of 2; [2, 10): 2 of 2
+        t = trace([(1, -5, -5, 10, 1), (2, 0, 2, 10, 1)], total_cpus=2)
+        assert resource_utilization(t, ClusterConfig(2)) == 100.0 * 14 / 15
+
+    def test_lone_early_job_is_full_use(self):
+        t = trace([(1, -5, -5, 10, 1)], total_cpus=2)
+        assert resource_utilization(t, ClusterConfig(2)) == 100.0
+
+
+# a coarse integer clock forces shared instants; float times do not
+TIMES = st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 1e5))
+
+
+@st.composite
+def random_traces(draw):
+    """1-300 records with times >= 0 and 1-64 cpus, on a cluster below or
+    above the demand."""
+    rows = draw(st.lists(st.tuples(TIMES, TIMES, TIMES, st.integers(1, 64)),
+                         min_size=1, max_size=300))
+    records = []
+    for job_id, (submit, wait, run, cpus) in enumerate(rows, start=1):
+        start = submit + wait
+        finish = start + run
+        if finish <= start:
+            finish = math.nextafter(start, math.inf)
+        records.append((job_id, submit, start, finish, cpus))
+    demand = sum(r[4] for r in records)
+    total = draw(st.one_of(st.integers(1, 64), st.integers(demand, demand + 64)))
+    return trace(records, total_cpus=total), ClusterConfig(total)
+
+
+class TestMatchesReference:
+    """The array version gives the reference loops' floats, bit for bit: the
+    ranking eigenvector would see a last-bit difference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_traces())
+    def test_random_traces(self, case):
+        t, cluster = case
+        expected = reference_objectives(t, cluster)
+        assert objectives(t, cluster).as_tuple() == expected
+        assert (makespan(t), resource_utilization(t, cluster), slowdown(t)) == expected
+
+    @pytest.mark.parametrize("build, cpus", [
+        (lifecycle_workload, 16), (weekly_workload, 16), (backlog_workload, 16),
+        (overestimate_workload, 16), (underestimate_workload, 16),
+        (saturated_workload, 24),
+    ])
+    def test_every_policy_on_the_conftest_workloads(self, build, cpus):
+        wl, cluster = build(), ClusterConfig(cpus)
+        for kind in PolicyKind:
+            t = run(wl, cluster, kind.value)
+            assert objectives(t, cluster).as_tuple() == reference_objectives(t, cluster)
 
 
 class TestInvariance:

@@ -123,6 +123,39 @@ class TestLayers:
         assert supers[0].period == pytest.approx(half_year)
         assert supers[0].child_ids == tuple(p.pattern_id for p in layer1)
 
+    def test_user_short_of_min_occurrences_is_skipped(self):
+        # user 1 holds two half-yearly blocks, one short of a chain; user 2
+        # holds three.  The super-pattern and its id are those of the
+        # layering that built pseudo-jobs for both users.
+        half_year = 180 * DAY
+
+        def blocks(n, shift):
+            return [shift + b * half_year + k * DAY for b in range(n) for k in range(5)]
+
+        layer1 = detect_patterns(jobs_at(blocks(2, 0), user=1))
+        layer1 += detect_patterns(
+            jobs_at(blocks(3, 3600), user=2, start_id=100), start_id=len(layer1)
+        )
+        assert [p.user_id for p in layer1] == [1, 1, 2, 2, 2]
+        with mock.patch.object(
+            patterns_module, "group_similar_jobs", wraps=group_similar_jobs
+        ) as grouping:
+            all_patterns = build_layers(layer1)
+        assert all_patterns == layer1 + [Pattern(
+            pattern_id=5, layer=2, user_id=2, rep_cpus=4, rep_runtime=18000.0,
+            period=15552000.0,
+            occurrences=((2, 3600.0), (3, 15555600.0), (4, 31107600.0)),
+        )]
+        grouping.assert_called_once()  # only user 2 became pseudo-jobs
+        assert sorted(j.job_id for j in grouping.call_args.args[0]) == [2, 3, 4]
+
+    def test_too_few_patterns_pooled_build_nothing(self):
+        layer1 = detect_patterns(jobs_at([0, DAY, 2 * DAY, 180 * DAY, 181 * DAY, 182 * DAY]))
+        assert len(layer1) == 2
+        with mock.patch.object(patterns_module, "group_similar_jobs") as grouping:
+            assert build_layers(layer1, SimilarityParams(same_user=False)) == layer1
+        grouping.assert_not_called()
+
     def test_single_pattern_no_layering(self):
         layer1 = detect_patterns(jobs_at([0, DAY, 2 * DAY]))
         assert build_layers(layer1) == layer1
