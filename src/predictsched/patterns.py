@@ -318,7 +318,7 @@ class PatternMiner:
     the first cluster of its user (of everyone, when not same_user) whose
     median cpus and runtime match it within tolerance, otherwise it opens a
     new one.  patterns() hands each cluster's chainer only the jobs the
-    cluster gained since the previous call, so layer-1 chaining resumes
+    cluster gained since it was last chained, so layer-1 chaining resumes
     where it stopped; only the higher layers are built anew.
     """
 
@@ -356,11 +356,18 @@ class PatternMiner:
         return [list(c.members) for c in self._clusters()]
 
     def patterns(self) -> list[Pattern]:
-        """All layers, with the global ids mine_patterns assigns."""
+        """All layers, with the global ids mine_patterns assigns.
+
+        A cluster with fewer than min_occurrences members makes no chain
+        and takes no id, so it is skipped; its chainer gets the members in
+        one batch once it is big enough, which chains them the same.
+        """
         layer1: list[Pattern] = []
+        params = self.params
         for cluster in self._clusters():
-            layer1.extend(cluster.chains(len(layer1), self.params))
-        return build_layers(layer1, self.params, max_layer=self.max_layer)
+            if len(cluster.members) >= params.min_occurrences:
+                layer1.extend(cluster.chains(len(layer1), params))
+        return build_layers(layer1, params, max_layer=self.max_layer)
 
 
 def _mined(

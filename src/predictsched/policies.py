@@ -22,8 +22,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .workload import Job
 
@@ -42,9 +41,9 @@ class PolicyKind(enum.Enum):
     DL_PREDICTIVE = "dl"
 
 
-@dataclass(frozen=True)
-class SchedulerView:
-    """Immutable snapshot handed to a policy at each scheduling point.
+class SchedulerView(NamedTuple):
+    """Immutable snapshot handed to a policy at each scheduling point: a
+    named tuple, so a copy with other fields is view._replace(...).
 
     queue is never empty (the engine does not call a policy with nothing to
     decide) and is in (submit_time, job_id) order.  running is in start
@@ -66,8 +65,10 @@ class CapacityProfile:
     """Free processors as a step function of time, from now onward.
 
     free[i] holds on [times[i], times[i + 1]); the last segment extends to
-    infinity.  reserve() carves a job (or a reservation window) out of the
-    profile; fit queries never mutate.  The loops below rely on two
+    infinity.  reserve() and hold() carve a job (or a reservation window)
+    out of the profile; take() finds a job's earliest slot and carves it in
+    the same scan, which is how the planners place; fit queries never
+    mutate.  The loops below rely on two
     invariants: times[0] == now, because nothing is added at or before it,
     and times is strictly increasing, so the step after index j is j + 1.
     Neighbouring steps may share a level; segments() merges them.
@@ -142,6 +143,46 @@ class CapacityProfile:
             if i >= n:
                 return None  # blocked by capacity that never releases in-profile
             cand = times[i]
+
+    def take(self, cpus: int, duration: float, by: float = math.inf) -> Optional[float]:
+        """earliest_fit from now, then reserve, in one scan: the earliest
+        start at or before by, carved out; None, carving nothing, when there
+        is none.  The start is the step times[i]; the scan stops at the
+        first step j at or after the end, which is where reserve splits."""
+        times, free = self.times, self.free
+        n = len(times)
+        i = 0
+        while True:
+            cand = times[i]
+            if cand > by:
+                return None
+            end = cand + duration
+            j = i
+            while free[j] >= cpus:
+                j += 1
+                if j >= n or times[j] >= end:
+                    # an end that rounds to the start carves nothing
+                    self.carve(i, j if end > cand else i, end, cpus)
+                    return cand
+            # restart after the violating step
+            i = j + 1
+            if i >= n:
+                return None
+
+    def carve(self, i: int, j: int, end: float, cpus: int) -> None:
+        """Carve cpus out of steps i to j - 1, where step i starts the slot
+        and j is the first step at or after its end (len(times) if none):
+        reserve's carve, with the bisects already done."""
+        times, free = self.times, self.free
+        if j < len(times):
+            if times[j] != end:
+                times.insert(j, end)
+                free.insert(j, free[j - 1])
+        elif end != math.inf:
+            times.append(end)
+            free.append(free[-1])
+        for k in range(i, j):
+            free[k] -= cpus
 
     def reserve(self, start: float, duration: float, cpus: int) -> None:
         self.hold(start, start + duration, cpus)
@@ -220,9 +261,10 @@ def _edf_key(job: Job):
 
 class Planner(Policy):
     """Plans the whole queue in order on a capacity profile and starts the
-    jobs planned for now.  _place(profile, job) gives a job's start, or
-    None when it fits nowhere; last_placements maps each job placed at the
-    last call to its start.
+    jobs planned for now.  _place(profile, job) carves a job's slot out of
+    the profile and gives its start, or None, carving nothing, when it fits
+    nowhere; last_placements maps each job placed at the last call to its
+    start.
 
     The plan outlives the call.  The next call places only the jobs that
     joined the queue, on the kept plan profile, if all of these hold:
@@ -279,7 +321,6 @@ class Planner(Policy):
             if t is None:
                 planned.append(math.inf)  # waits, holding nothing
                 continue
-            plan.reserve(t, job.runtime_estimate, job.cpus)
             planned.append(t)
             if t == now:
                 starts.append(job)
@@ -366,7 +407,7 @@ class ConservativeBackfill(Planner):
         self.first_planned: dict[int, float] = {}
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
-        t = profile.earliest_fit(job.cpus, job.runtime_estimate, profile.times[0])
+        t = profile.take(job.cpus, job.runtime_estimate)
         if t is not None:
             self.first_planned.setdefault(job.job_id, t)
         return t
@@ -391,17 +432,16 @@ class EasyBackfill(Policy):
         now = view.now
         starts: list[Job] = []
         head_seen = False
+        take = profile.take
         for job in view.queue:
-            if profile.fits(now, job.runtime_estimate, job.cpus):
-                profile.reserve(now, job.runtime_estimate, job.cpus)
+            if take(job.cpus, job.runtime_estimate, now) is not None:
                 starts.append(job)
             elif not head_seen:
                 head_seen = True
-                shadow = profile.earliest_fit(job.cpus, job.runtime_estimate, now)
+                shadow = take(job.cpus, job.runtime_estimate)
                 self.shadow_log.append((now, job.job_id, shadow))
                 if shadow is None:
                     break
-                profile.reserve(shadow, job.runtime_estimate, job.cpus)
         return starts
 
 
@@ -410,7 +450,9 @@ class GapPolicy(Planner):
 
     A gap is a maximal constant-capacity rectangle of the profile.  ESG
     takes the earliest gap wide and long enough; BestGap minimizes leftover
-    (cpus slack, then duration slack), earliest among equals.  A job
+    (cpus slack, then duration slack), earliest among equals.  _place keeps
+    the index of the chosen gap's first step and carves the job from there,
+    so only the end needs a search.  A job
     started from behind a waiting one can split or join that job's gap, so
     after such a call both place the waiting jobs ahead of the last one
     started again before they reuse their kept plan (see Planner, condition
@@ -435,7 +477,8 @@ class GapPolicy(Planner):
     _best = False
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
-        """Start of the chosen gap, in one pass over the profile's steps.
+        """Carve the job out of the chosen gap and give its start, in one
+        pass over the profile's steps.
 
         A gap is a run of steps at one level, the same maximal runs that
         segments() yields; it starts at a step time, so never before now.
@@ -443,7 +486,7 @@ class GapPolicy(Planner):
         times, free = profile.times, profile.free
         cpus, estimate = job.cpus, job.runtime_estimate
         n = len(times)
-        best_start = None
+        best = None  # index of the chosen gap's first step
         best_cpus = best_len = math.inf
         i = 0
         while i < n:
@@ -451,6 +494,7 @@ class GapPolicy(Planner):
             if level < cpus:
                 i += 1
                 continue
+            g = i
             start = times[i]
             i += 1
             while i < n and free[i] == level:
@@ -459,7 +503,8 @@ class GapPolicy(Planner):
             if length < estimate:
                 continue
             if not self._best:
-                return start
+                best = g
+                break
             # key (cpus slack, duration slack, start); starts only grow, so
             # an equal slack pair never displaces the earlier gap
             slack_cpus, slack_len = level - cpus, length - estimate
@@ -468,8 +513,15 @@ class GapPolicy(Planner):
                     # the first qualifying gap at this level: an earlier one
                     # would have been chosen over the wider gap chosen before
                     first_end = times[i] if i < n else math.inf
-                best_start, best_cpus, best_len = start, slack_cpus, slack_len
-        if best_start is not None and first_end <= best_start:
+                best, best_cpus, best_len = g, slack_cpus, slack_len
+        if best is None:
+            return None
+        best_start = times[best]
+        end = best_start + estimate
+        # reserve's split point, searched from the gap's first step on: float
+        # rounding can put the end of a gap-long job past the gap's end
+        profile.carve(best, bisect.bisect_left(times, end, best), end, cpus)
+        if self._best and first_end <= best_start:
             # that first gap, cut to start at now, ties with the chosen one
             # once now reaches first_end - (estimate + best_len); one float
             # step up in each sum keeps the bound at or below that now

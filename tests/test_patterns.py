@@ -417,6 +417,33 @@ class TestPatternMiner:
             layers.update(p.layer for p in expected)
         assert 2 in layers
 
+    def test_daily_batches_skip_small_clusters(self):
+        # per user: a daily chain, a job every third day whose cluster stays
+        # below min_occurrences for days and then chains, and one job a day
+        # whose runtime matches no other cluster; the singleton clusters sit
+        # between the chaining ones, so a skipped cluster taking an id or
+        # chaining differently once big enough would shift or change the ids
+        jobs = []
+        for user in (1, 2):
+            for day in range(12):
+                t = day * DAY + 3600 * user
+                jobs.append(make_job(len(jobs) + 1, t, 3600, 4, user=user))
+                jobs.append(make_job(len(jobs) + 1, t + 60, 100 * 1.5**day, 1, user=user))
+                if day % 3 == 2:
+                    jobs.append(make_job(len(jobs) + 1, t + 120, 7200, 2, user=user))
+        jobs.sort(key=lambda j: (j.submit_time, j.job_id))
+        params = SimilarityParams()
+        miner = PatternMiner(params)
+        for day in range(12):
+            miner.add([j for j in jobs if day * DAY <= j.submit_time < (day + 1) * DAY])
+            prefix = [j for j in jobs if j.submit_time < (day + 1) * DAY]
+            expected = mine_patterns(prefix, params)
+            assert miner.patterns() == expected == reference_mining(prefix, params), day
+        sizes = [len(c) for c in miner.clusters()]
+        assert sizes.count(1) > len(sizes) // 2
+        assert {(p.user_id, p.rep_cpus) for p in expected} == {
+            (u, c) for u in (1, 2) for c in (4, 2)}
+
     def test_add_rejects_jobs_before_the_history(self):
         miner = PatternMiner()
         miner.add(jobs_at([0, DAY, 2 * DAY], start_id=1))

@@ -432,11 +432,28 @@ def planner_views(draw):
 # (kind, cpus, estimate, ready offset): kind chooses who places the job
 _steps = st.lists(
     st.tuples(
-        st.sampled_from(["cons", "esg", "best", "at"]), _cpus, _durations, _offsets
+        st.sampled_from(["cons", "esg", "best", "at", "take", "take-now"]),
+        _cpus, _durations, _offsets,
     ),
     min_size=1,
     max_size=25,
 )
+
+
+def check_take(fast, ref, cpus, estimate, by):
+    """fast.take against the reference's earliest fit, if at or before by,
+    plus reserve; both profiles carry the result."""
+    now = ref.times[0]
+    want = ref.earliest_fit(cpus, estimate, now)
+    if want is not None and want > by:
+        want = None
+    if by == now:
+        assert (want is not None) == ref.fits(now, estimate, cpus)
+    assert fast.take(cpus, estimate, by) == want
+    if want is not None:
+        ref.reserve(want, estimate, cpus)
+    assert fast.times == ref.times
+    assert fast.free == ref.free
 
 
 class TestPlannerMatchesReference:
@@ -455,17 +472,56 @@ class TestPlannerMatchesReference:
             want = ref.earliest_fit(cpus, estimate, ready)
             assert fast.earliest_fit(cpus, estimate, ready) == want
             if kind in gaps:
+                # the gap placement carves its own slot
                 job = make_job(n + 1, 0, estimate, cpus)
                 want = ref_place(ref, job, v.now, best=kind == "best")
                 assert gaps[kind]._place(fast, job) == want
-            elif kind == "at":
-                want = ready  # carve regardless of fit, as a hard window does
-            if want is not None:
-                fast.reserve(want, estimate, cpus)
-                ref.reserve(want, estimate, cpus)
+                if want is not None:
+                    ref.reserve(want, estimate, cpus)
+            elif kind.startswith("take"):
+                check_take(fast, ref, cpus, estimate, v.now if kind == "take-now" else math.inf)
+            else:
+                if kind == "at":
+                    want = ready  # carve regardless of fit, as a hard window does
+                if want is not None:
+                    fast.reserve(want, estimate, cpus)
+                    ref.reserve(want, estimate, cpus)
             assert fast.times == ref.times
             assert fast.free == ref.free
             assert fast.segments() == ref.segments()
+
+    # On 4 cpus from now=2: 2 free until 5, 3 until 9, then 4.
+    @pytest.mark.parametrize("cpus, estimate, by", [
+        (2, 3.0, math.inf),  # the end is an existing step
+        (3, 4.0, math.inf),  # starts at a later step and ends on one
+        (1, 2.0, 2.0),  # fits now, and the end splits the first step
+        (3, 1.0, 2.0),  # does not fit now: None, nothing carved
+        (4, 100.0, math.inf),  # the end is past the last step
+        (4, 1.0, 8.0),  # the earliest fit is after by
+        (5, 1.0, math.inf),  # fits nowhere
+    ])
+    def test_take_edges(self, cpus, estimate, by):
+        running = ((make_job(1, 0, 1, 1), 0.0, 5.0), (make_job(2, 0, 1, 1), 0.0, 9.0))
+        v = view(now=2.0, total=4, free=2, running=running)
+        check_take(CapacityProfile.from_view(v), RefProfile.from_view(v), cpus, estimate, by)
+
+    @pytest.mark.parametrize("token", ["esg", "best-gap"])
+    def test_gap_end_rounding_past_the_gap_carves_like_reserve(self, token):
+        # the gap [1.5, 2**52 + 3) is 2**52 + 2 long in floats, but
+        # 1.5 + (2**52 + 2) rounds to 2**52 + 4, one step past its end
+        deltas = {1.5: -1.0, 2.0**52 + 3: -1.0}
+        fast, ref = CapacityProfile(0.0, 4, deltas), RefProfile(0.0, 4, deltas)
+        job = make_job(1, 0, 2.0**52 + 2, 3)
+        assert make_policy(token)._place(fast, job) == 1.5
+        ref.reserve(1.5, job.runtime_estimate, 3)
+        assert (fast.times, fast.free) == (ref.times, ref.free)
+        assert fast.times[-1] == 2.0**52 + 4
+
+    def test_take_end_rounding_to_the_start_carves_nothing(self):
+        fast = CapacityProfile(2.0**53, 4, {2.0**53 + 8: 0.0})
+        ref = RefProfile(2.0**53, 4, {2.0**53 + 8: 0.0})
+        check_take(fast, ref, 1, 0.5, math.inf)
+        assert fast.free == [4.0, 4.0]
 
 
 class FreshChecked(Policy):
@@ -694,8 +750,8 @@ class WithHardWindows(Policy):
         now = view.now
         live = tuple((ws, we, c) for made, ws, we, c in self.windows if made <= now < we)
         held = sum(c for ws, _we, c in live if ws <= now)
-        return self.inner.select(dataclasses.replace(
-            view, free_cpus=view.free_cpus - held, hard_windows=live))
+        return self.inner.select(view._replace(
+            free_cpus=view.free_cpus - held, hard_windows=live))
 
 
 @st.composite
