@@ -11,6 +11,7 @@ borders during a run.
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
 import enum
 import io
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from .patterns import Pattern, PredictedJob, SimilarityParams, _Group, _median
+from .patterns import Pattern, PredictedJob, SimilarityParams, _FirstMatch, _Group, _median
 
 MODES = ("survival", "pdf_normalized")
 _PERIOD_RATIO_TOL = 0.25
@@ -58,11 +59,10 @@ class _Cohort(_Group):
     """A group of patterns being built, all of one layer, with a sorted
     period list and its median beside the requirement lists."""
 
-    __slots__ = ("layer", "periods", "med_period")
+    __slots__ = ("periods", "med_period")
 
     def __init__(self, p: Pattern):
         super().__init__(p, p.rep_cpus, p.rep_runtime)
-        self.layer = p.layer
         self.periods = [p.period]
         self.med_period = p.period
 
@@ -72,9 +72,6 @@ class _Cohort(_Group):
         self.med_period = _median(self.periods)
 
     def admits(self, p: Pattern, req_params: SimilarityParams) -> bool:
-        # layer and period first: most cohorts fail them, at no extra call
-        if self.layer != p.layer:
-            return False
         lo, hi = min(p.period, self.med_period), max(p.period, self.med_period)
         if hi / lo > 1.0 + _PERIOD_RATIO_TOL:
             return False
@@ -90,17 +87,29 @@ def group_patterns(
     Two patterns share a group when max/min of their periods is at most
     1 + _PERIOD_RATIO_TOL and their representative requirements match within
     the similarity tolerances.  Grouping is a single pass in pattern_id
-    order against group medians; cohorts never span layers (length
-    statistics of chains and super-chains are not comparable).
+    order against group medians, and a pattern joins the first cohort, in
+    creation order, that admits it; cohorts never span layers (length
+    statistics of chains and super-chains are not comparable).  Each
+    layer's cohorts are kept in a `_FirstMatch` index by median period, so
+    a pattern is tested only against the cohorts whose median period lies
+    within the period ratio of its own.
     """
-    cohorts: list[_Cohort] = []
+    cohorts: list[_Cohort] = []  # creation order, over all layers
+    by_layer = collections.defaultdict(_FirstMatch)  # cohorts by median period
+    ratio = 1.0 + _PERIOD_RATIO_TOL
     for p in sorted(patterns, key=lambda q: q.pattern_id):
-        for cohort in cohorts:
+        index = by_layer[p.layer]
+        for k in index.window(p.period, ratio):
+            cohort = index.groups[k]
             if cohort.admits(p, req_params):
+                old = cohort.med_period
                 cohort.add(p)
+                index.rekey(k, old, cohort.med_period)
                 break
         else:
-            cohorts.append(_Cohort(p))
+            cohort = _Cohort(p)
+            index.append(cohort, p.period)
+            cohorts.append(cohort)
     return [
         _make_group([m.pattern_id for m in c.members], [m.length for m in c.members])
         for c in cohorts

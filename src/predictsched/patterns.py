@@ -22,6 +22,13 @@ fed only the jobs it gained.  Its patterns equal `mine_patterns` over the
 whole history, ids included.  `group_similar_jobs` and `mine_patterns` are
 one-batch runs of the same miner, and `detect_patterns` (every layer) is a
 one-batch run of the same chainer.
+
+A job joins the first cluster of its user, in creation order, whose
+medians admit it.  The clusters are indexed by median cpus (`_FirstMatch`),
+so only those whose median lies within the cpu tolerance of the job's cpus
+are tested, in creation order, with the exact rule: the first that passes
+is the one a scan of every cluster would pick.  Cohorts in `confidence`
+use the same index, by median period.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ import bisect
 import collections
 import csv
 import io
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .workload import Job, Workload
@@ -70,6 +78,13 @@ class Pattern:
     period: float
     occurrences: tuple[tuple[int, float], ...]  # (job id, submit time)
 
+    def __post_init__(self):
+        # a NaN period never ends prolong's loop, a zero one divides by zero,
+        # and the cohort index needs an ordered key; a mined period is a
+        # median of gaps > 0
+        if not 0.0 < self.period < math.inf:
+            raise ValueError(f"pattern {self.pattern_id}: period must be finite and > 0")
+
     @property
     def child_ids(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.occurrences) if self.layer > 1 else ()
@@ -101,9 +116,10 @@ class PredictedJob:
 def reqs_match(cpus_a: float, cpus_b: float, rt_a: float, rt_b: float,
                params: SimilarityParams) -> bool:
     """Do two (cpus, runtime) requirements agree within the tolerances?"""
-    if abs(cpus_a - cpus_b) > params.cpu_tol * max(cpus_a, cpus_b):
+    # each conditional is max() without the call; a NaN reads the same in both
+    if abs(cpus_a - cpus_b) > params.cpu_tol * (cpus_a if cpus_a > cpus_b else cpus_b):
         return False
-    return abs(rt_a - rt_b) <= params.runtime_tol * max(rt_a, rt_b)
+    return abs(rt_a - rt_b) <= params.runtime_tol * (rt_a if rt_a > rt_b else rt_b)
 
 
 def _median(ordered: list) -> float:
@@ -134,6 +150,60 @@ class _Group:
     def matches_reqs(self, cpus: int, runtime: float, params: SimilarityParams) -> bool:
         """Do (cpus, runtime) agree with the members' medians within tolerance?"""
         return reqs_match(cpus, self.med_cpus, runtime, self.med_runtime, params)
+
+
+_WINDOW_MARGIN = 1e-9  # relative; rounding in a tolerance test is ~1e-16
+
+
+class _FirstMatch:
+    """Groups in creation order, each keyed by one of its running medians.
+
+    A group can admit an item only if its median lies within a factor
+    `ratio` of the item's key.  window(key, ratio) gives, in creation
+    order, the positions of the groups whose median lies in
+    [key / ratio, key * ratio], widened by _WINDOW_MARGIN so that float
+    rounding never drops one.  The caller tests them in that order with
+    the exact rule, so the first that passes is the group a scan of all of
+    them would pick, and calls rekey() when the group's add() moved the
+    median; the list window() gave is not valid after that.
+    """
+
+    __slots__ = ("groups", "_meds", "_at")
+
+    def __init__(self):
+        self.groups: list = []
+        self._meds: list[float] = []  # the distinct medians, sorted
+        self._at: dict[float, list[int]] = {}  # a median's group positions, ascending
+
+    def append(self, group, median: float) -> None:
+        self._put(len(self.groups), median)
+        self.groups.append(group)
+
+    def window(self, key: float, ratio: float) -> list[int]:
+        meds = self._meds
+        i = bisect.bisect_left(meds, key / ratio * (1.0 - _WINDOW_MARGIN))
+        j = bisect.bisect_right(meds, key * ratio * (1.0 + _WINDOW_MARGIN), i)
+        if j - i == 1:
+            return self._at[meds[i]]
+        return sorted(itertools.chain.from_iterable(map(self._at.__getitem__, meds[i:j])))
+
+    def rekey(self, k: int, old: float, new: float) -> None:
+        if new != old:
+            at = self._at[old]
+            if len(at) == 1:
+                del self._at[old]
+                del self._meds[bisect.bisect_left(self._meds, old)]
+            else:
+                at.remove(k)
+            self._put(k, new)
+
+    def _put(self, k: int, median: float) -> None:
+        at = self._at.get(median)
+        if at is None:
+            self._at[median] = [k]
+            bisect.insort(self._meds, median)
+        else:
+            bisect.insort(at, k)
 
 
 class _Chainer:
@@ -281,7 +351,11 @@ class _Chainer:
 
 
 def _renumbered(patterns: list[Pattern], start_id: int) -> list[Pattern]:
-    return [replace(p, pattern_id=start_id + k) for k, p in enumerate(patterns)]
+    return [
+        Pattern(start_id + k, p.layer, p.user_id, p.rep_cpus, p.rep_runtime, p.period,
+                p.occurrences)
+        for k, p in enumerate(patterns)
+    ]
 
 
 class _Cluster(_Group):
@@ -317,7 +391,10 @@ class PatternMiner:
     job_id) order they must not precede any job already added.  A job joins
     the first cluster of its user (of everyone, when not same_user) whose
     median cpus and runtime match it within tolerance, otherwise it opens a
-    new one.  patterns() hands each cluster's chainer only the jobs the
+    new one.  Each user's clusters are kept in a `_FirstMatch` index by
+    median cpus, across add() calls, so a job is tested only against the
+    clusters whose median cpus lie within the cpu tolerance of its own, in
+    creation order.  patterns() hands each cluster's chainer only the jobs the
     cluster gained since it was last chained, so layer-1 chaining resumes
     where it stopped; only the higher layers are built anew.
     """
@@ -327,10 +404,12 @@ class PatternMiner:
             raise ValueError("max_layer must be >= 1")
         self.params = params
         self.max_layer = max_layer
-        self._by_key: dict[int, list[_Cluster]] = {}
+        self._by_key = collections.defaultdict(_FirstMatch)  # clusters by median cpus
         self._last: Optional[tuple[float, int]] = None
 
     def add(self, jobs: Iterable[Job]) -> None:
+        params = self.params
+        ratio = 1.0 / (1.0 - params.cpu_tol)
         for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
             order = (job.submit_time, job.job_id)
             if self._last is not None and order < self._last:
@@ -339,18 +418,21 @@ class PatternMiner:
                     "add() only extends it"
                 )
             self._last = order
-            key = job.user_id if self.params.same_user else 0
-            clusters = self._by_key.setdefault(key, [])
-            for cluster in clusters:
-                if cluster.matches_reqs(job.cpus, job.runtime, self.params):
-                    cluster.add(job, job.cpus, job.runtime)
+            index = self._by_key[job.user_id if params.same_user else 0]
+            cpus, runtime = job.cpus, job.runtime
+            for k in index.window(cpus, ratio):
+                cluster = index.groups[k]
+                if cluster.matches_reqs(cpus, runtime, params):
+                    old = cluster.med_cpus
+                    cluster.add(job, cpus, runtime)
+                    index.rekey(k, old, cluster.med_cpus)
                     break
             else:
-                clusters.append(_Cluster(job))
+                index.append(_Cluster(job), cpus)
 
     def _clusters(self) -> list[_Cluster]:
         # users ascending, then clusters in creation order within each user
-        return [c for key in sorted(self._by_key) for c in self._by_key[key]]
+        return [c for key in sorted(self._by_key) for c in self._by_key[key].groups]
 
     def clusters(self) -> list[list[Job]]:
         return [list(c.members) for c in self._clusters()]
@@ -387,6 +469,8 @@ def group_similar_jobs(
 
     Single pass in submit order: a job joins the first cluster whose median
     cpus and runtime match it within tolerance, otherwise it opens a new one.
+    Only the clusters whose median cpus lie within the cpu tolerance are
+    tested (see PatternMiner).
     """
     return _mined(workload, params).clusters()
 

@@ -1,3 +1,4 @@
+import math
 import statistics
 from unittest import mock
 
@@ -63,12 +64,15 @@ class TestGroupPatterns:
         assert len(group_patterns([a, b])) == 2
 
 
-def reference_groups(patterns, req_params):
+def reference_groups(patterns, req_params, tests=None):
     """group_patterns as it was with statistics.median over every candidate
-    group's members at every step."""
+    group's members at every step.  A list given as tests gets one entry
+    per group tested."""
     groups = []
     for p in sorted(patterns, key=lambda q: q.pattern_id):
         for members in groups:
+            if tests is not None:
+                tests.append(p.pattern_id)
             if members[0].layer != p.layer:
                 continue
             med_period = statistics.median(m.period for m in members)
@@ -88,16 +92,26 @@ def reference_groups(patterns, req_params):
     ]
 
 
+# periods exactly 1.25x apart, and one float step on either side of each
+_EDGE_PERIODS = [
+    x for p in (2560.0, 3200.0, 4000.0, 5000.0, 6250.0)
+    for x in (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
+]
+
+
 @st.composite
 def pattern_sets(draw):
     # one requirement varies at a time (or all do) over a dense range, so
-    # that groups grow past two members and their medians decide who joins
+    # that groups grow past two members and their medians decide who joins;
+    # periods come from a dense range or lie on the ratio edges
     vary = draw(st.sampled_from(["period", "cpus", "runtime", "all"]))
 
     def values(name, spread):
         return spread if vary in (name, "all") else st.just(draw(spread))
 
-    periods = values("period", st.integers(3000, 6000).map(float))
+    periods = values("period", draw(st.sampled_from([
+        st.integers(3000, 6000).map(float), st.sampled_from(_EDGE_PERIODS),
+    ])))
     cpus = values("cpus", st.integers(1, 12))
     runtimes = values("runtime", st.one_of(st.integers(500, 1100), st.floats(500, 1100)))
     return [
@@ -127,6 +141,30 @@ class TestGroupPatternsMatchesReference:
         group_of = groups_by_pattern(groups)
         assert sorted(group_of) == sorted(p.pattern_id for p in patterns)
         assert all(pid in group_of[pid].member_pattern_ids for pid in group_of)
+
+    def test_index_tests_few_cohorts(self):
+        # 160 patterns over two layers, with periods spread across a factor
+        # of 50 and five requirement classes, make many cohorts; the period
+        # index tests a pattern only against the cohorts of its layer whose
+        # median period lies within the period ratio
+        patterns = [
+            pattern(pid, 3600.0 * 1.07 ** (pid * 37 % 60), 3 + pid % 5,
+                    cpus=1 + pid % 5, runtime=600 + 450 * (pid % 5), layer=1 + (pid % 4 == 3))
+            for pid in range(160)
+        ]
+        calls = []
+        original = _Cohort.admits
+
+        def counted(cohort, p, req_params):
+            calls.append(p.pattern_id)
+            return original(cohort, p, req_params)
+
+        with mock.patch.object(_Cohort, "admits", counted):
+            groups = group_patterns(patterns)
+        scan = []
+        assert groups == reference_groups(patterns, SimilarityParams(), tests=scan)
+        # a scan of every cohort makes 4,420 tests; the index makes 305
+        assert (len(groups), len(scan), len(calls)) == (60, 4420, 305)
 
 
 class TestCachedCohortMedians:

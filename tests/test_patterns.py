@@ -265,6 +265,11 @@ class TestProlong:
         for now, horizon in [(0, 0), (0, -1), (0, nan), (0, inf), (nan, 1), (inf, 1), (-inf, 1)]:
             with pytest.raises(ValueError):
                 prolong([], now=now, horizon=horizon)
+        # so would a NaN period, and a zero one divides by zero: no such
+        # pattern can be built to reach prolong or group_patterns
+        for period in [nan, inf, 0.0, -DAY]:
+            with pytest.raises(ValueError, match="period"):
+                Pattern(0, 1, 1, 4, 3600.0, period, ((1, 0.0), (2, DAY), (3, 2 * DAY)))
 
     @settings(max_examples=500, deadline=None)
     @given(layered_patterns(), st.integers(0, 100), st.integers(1, 60))
@@ -519,16 +524,19 @@ def reference_chains(cluster, params=SimilarityParams(), layer=1, start_id=0, sp
     return patterns
 
 
-def reference_clusters(jobs, params=SimilarityParams()):
+def reference_clusters(jobs, params=SimilarityParams(), tests=None):
     """Reference requirement clustering: in (submit_time, job_id) order a job
     joins the first cluster of its key (its user, or everyone when not
     same_user) whose member medians, read with statistics.median, are within
     tolerance of its cpus and runtime; otherwise it opens a new cluster.
-    Clusters come by key ascending, then in creation order."""
+    Clusters come by key ascending, then in creation order.  A list given
+    as tests gets one entry per cluster tested."""
     by_key: dict[int, list[list]] = {}
     for job in sorted(jobs, key=lambda j: (j.submit_time, j.job_id)):
         clusters = by_key.setdefault(job.user_id if params.same_user else 0, [])
         for members in clusters:
+            if tests is not None:
+                tests.append(job.job_id)
             med_cpus = statistics.median(m.cpus for m in members)
             med_runtime = statistics.median(m.runtime for m in members)
             if (
@@ -557,21 +565,27 @@ def reference_mining(jobs, params):
 @st.composite
 def requirement_streams(draw):
     """Jobs whose cpus and runtimes sit on and around the tolerance edges
-    (3 vs 4 cpus at cpu_tol 0.25, 750 vs 1000 s at runtime_tol 0.25), with
-    even-sized clusters whose medians fall between two members, random batch
-    cuts and both values of same_user."""
+    (3 vs 4 cpus at cpu_tol 0.25, 4 vs 5 and 8 vs 10 at 0.2, 6.5 vs 10 at
+    0.35, 4 vs 8 and 3.5 vs 7 at 0.5; 750 vs 1000 s at runtime_tol 0.25), with
+    even-sized clusters whose half-integer medians move into and out of a
+    job's cpu window, many clusters per key (one runtime each at
+    runtime_tol 0), random batch cuts and both values of same_user."""
     params = SimilarityParams(
-        cpu_tol=draw(st.sampled_from([0.0, 0.2, 0.25, 0.5])),
+        cpu_tol=draw(st.sampled_from([0.0, 0.2, 0.25, 0.35, 0.5])),
         runtime_tol=draw(st.sampled_from([0.0, 0.2, 0.25, 0.5])),
         same_user=draw(st.booleans()),
     )
-    n = draw(st.integers(1, 30))
+    # one runtime leaves the clusters to the cpu windows alone
+    runtimes = draw(st.sampled_from([
+        [600, 750, 800, 1000, 1200, 1250, 1500, 2000, 2600, 3400, 4500, 6000], [1000],
+    ]))
+    n = draw(st.integers(1, 40))
     times = sorted(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n)))
     jobs = [
         make_job(
             i + 1, t * 3600.0,
-            draw(st.sampled_from([600, 750, 800, 1000, 1200, 1250, 1500, 2000])),
-            draw(st.sampled_from([2, 3, 4, 5, 6, 8])),
+            draw(st.sampled_from(runtimes)),
+            draw(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 10])),
             user=draw(st.integers(0, 2)),
         )
         for i, t in enumerate(times)
@@ -594,12 +608,42 @@ class TestClusteringEqualsReference:
             miner.add(batch)
         assert miner.clusters() == expected
 
+    def test_index_tests_few_clusters(self):
+        # ten background users with cpus in 1..8 and runtimes in 600..7200 s
+        # open many clusters each; the cpu index tests a job only against
+        # the clusters of its own median cpus, where a scan tests them all
+        wl, _ = synth_workload(
+            SynthSpec(horizon=14 * DAY, background_rate=40 / DAY), seed=11
+        )
+        calls = []
+        original = patterns_module._Group.matches_reqs
+
+        def counted(group, cpus, runtime, params):
+            calls.append(cpus)
+            return original(group, cpus, runtime, params)
+
+        with mock.patch.object(patterns_module._Group, "matches_reqs", counted):
+            patterns = mine_patterns(wl)
+        scan = []
+        reference_clusters(wl.jobs, SimilarityParams(), tests=scan)
+        assert len(wl) == 529 and len(patterns) == 11
+        # a scan of every cluster of the user makes 5,930 tests in the
+        # clustering of the jobs alone; the index makes 787 in all the mining
+        assert len(scan) == 5930
+        assert len(calls) == 787
+
     def test_tolerance_edges_join(self):
-        # |3 - 4| = 0.25 * 4 and |750 - 1000| = 0.25 * 1000: both on the edge
-        jobs = [make_job(1, 0, 1000, 4), make_job(2, 1, 750, 3)]
-        params = SimilarityParams(cpu_tol=0.25)
-        assert group_similar_jobs(jobs, params) == reference_clusters(jobs, params)
-        assert len(reference_clusters(jobs, params)) == 1
+        # |3 - 4| = 0.25 * 4 and |750 - 1000| = 0.25 * 1000: both on the edge.
+        # At cpu_tol 0.35, 10 cpus meet the median 6.5 of (6, 7) on the edge,
+        # and 10 / (1 / 0.65) rounds above 6.5: the index window's margin keeps it
+        for cpu_tol, jobs in [
+            (0.25, [make_job(1, 0, 1000, 4), make_job(2, 1, 750, 3)]),
+            (0.35, [make_job(1, 0, 1000, 6), make_job(2, 1, 1000, 7),
+                    make_job(3, 2, 1000, 10)]),
+        ]:
+            params = SimilarityParams(cpu_tol=cpu_tol)
+            assert group_similar_jobs(jobs, params) == reference_clusters(jobs, params)
+            assert len(reference_clusters(jobs, params)) == 1
 
 
 @st.composite
