@@ -157,8 +157,8 @@ class ThresholdState:
     min_gap: float = 0.05
 
     def __post_init__(self):
-        if self.step < 0:
-            raise ValueError("step must be >= 0")
+        if not 0 <= self.step < math.inf:
+            raise ValueError("step must be a finite number >= 0")
         eps = 1e-12  # clamping arithmetic may land on the border inexactly
         if not (
             0.0 <= self.t_low <= self.t_high - self.min_gap + eps

@@ -65,10 +65,12 @@ class CapacityProfile:
     """Free processors as a step function of time, from now onward.
 
     free[i] holds on [times[i], times[i + 1]); the last segment extends to
-    infinity.  reserve() and hold() carve a job (or a reservation window)
-    out of the profile; take() finds a job's earliest slot and carves it in
-    the same scan, which is how the planners place; fit queries never
-    mutate.  The loops below rely on two
+    infinity.  take() finds a job's earliest slot from now and carves it in
+    the same scan, which is how the planners place; earliest_fit() and
+    fits() run that scan on a copy advanced to their start, so they never
+    mutate.  reserve() and hold() carve a job or a window where they are
+    told; hold_if_free() carves a window only where it fits, which is how
+    the engine admits a reservation.  The loops below rely on two
     invariants: times[0] == now, because nothing is added at or before it,
     and times is strictly increasing, so the step after index j is j + 1.
     Neighbouring steps may share a level; segments() merges them.
@@ -117,38 +119,20 @@ class CapacityProfile:
         self.times[0] = now
 
     def fits(self, start: float, duration: float, cpus: int) -> bool:
-        i = self._seg_index(start)
-        end = start + duration
-        while True:
-            if self.free[i] < cpus:
-                return False
-            i += 1
-            if i >= len(self.times) or self.times[i] >= end:
-                return True
+        return self.earliest_fit(cpus, duration, start) == start
 
     def earliest_fit(self, cpus: int, duration: float, ready: float) -> Optional[float]:
-        times, free = self.times, self.free
-        n = len(times)
-        cand = max(ready, times[0])
-        i = self._seg_index(cand)
-        while True:
-            end = cand + duration
-            j = i
-            while free[j] >= cpus:
-                j += 1
-                if j >= n or times[j] >= end:
-                    return cand
-            # restart after the violating step
-            i = j + 1
-            if i >= n:
-                return None  # blocked by capacity that never releases in-profile
-            cand = times[i]
+        """take's start from ready (or now, if later) on, found on a copy,
+        so nothing is carved."""
+        probe = self.copy()
+        probe.advance(max(ready, self.times[0]))
+        return probe.take(cpus, duration)
 
     def take(self, cpus: int, duration: float, by: float = math.inf) -> Optional[float]:
-        """earliest_fit from now, then reserve, in one scan: the earliest
-        start at or before by, carved out; None, carving nothing, when there
-        is none.  The start is the step times[i]; the scan stops at the
-        first step j at or after the end, which is where reserve splits."""
+        """The earliest start from now, if at or before by, carved out as
+        reserve would, in one scan; None, carving nothing, when there is
+        none.  The start is the step times[i]; the scan stops at the first
+        step j at or after the end, which is where reserve splits."""
         times, free = self.times, self.free
         n = len(times)
         i = 0
@@ -193,6 +177,19 @@ class CapacityProfile:
         free = self.free
         for k in range(i, self._split(end)):
             free[k] -= cpus
+
+    def hold_if_free(self, start: float, end: float, cpus: int) -> bool:
+        """hold, but only if every step that [start, end) covers has cpus
+        free; say whether it held.  Nothing is held before now, and a window
+        that ends by its start fits and carves nothing."""
+        start = max(start, self.times[0])
+        if end <= start:
+            return True
+        i = self._seg_index(start)
+        if min(self.free[i:bisect.bisect_left(self.times, end, i)]) < cpus:
+            return False
+        self.hold(start, end, cpus)
+        return True
 
     def _split(self, t: float) -> int:
         """Make t a step time, unless it is at or before now or infinite,

@@ -125,6 +125,8 @@ def principal_eigenvector(
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n or n == 0:
         raise ValueError("matrix must be square and nonempty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite numbers")
     if np.any(a <= 0):
         raise ValueError("matrix must be entrywise positive")
     x = np.full(n, 1.0 / np.sqrt(n))

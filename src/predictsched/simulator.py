@@ -17,7 +17,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 import math
@@ -125,27 +124,6 @@ class Reservation:
         return self.state is _CONSUMED
 
 
-@dataclass
-class ClusterState:
-    """Instantaneous processor accounting; free_cpus excludes hard holds.
-
-    active_reservations is the live book: only PENDING and HELD
-    reservations, keyed by res_id in creation order.  A reservation leaves
-    it the moment it ends; Telemetry.reservations keeps the full history.
-    Hard HELD reservations are subtracted from free_cpus; soft ones are
-    counted apart (the engine's soft_held) because they yield to real jobs.
-    queue holds the waiting jobs keyed by job id, in (submit_time, job_id)
-    order; running maps job id to the view's row (job, start, estimated
-    finish), in start order.
-    """
-
-    total_cpus: int
-    free_cpus: int
-    running: dict[int, tuple[Job, float, float]] = field(default_factory=dict)
-    active_reservations: dict[int, Reservation] = field(default_factory=dict)
-    queue: dict[int, Job] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class ForecasterConfig:
     """Settings of the `dl` forecaster.  Every tick it mines the submitted
@@ -246,6 +224,20 @@ def match_arrival(
 
 
 class _Engine:
+    """One run: the event loop, the processor accounting and, for `dl`,
+    the forecaster's reservation book.
+
+    free_cpus excludes running jobs and hard HELD reservations; soft HELD
+    ones are counted apart in soft_held, because they yield to real jobs.
+    active_reservations is the live book: only PENDING and HELD
+    reservations, keyed by res_id in creation order.  A reservation leaves
+    it the moment it ends; Telemetry.reservations keeps the full history.
+    queue holds the waiting jobs keyed by job id, in (submit_time, job_id)
+    order; running maps job id to the view's row (job, start, estimated
+    finish), in start order.  _check_accounting recounts all of it after
+    every event.
+    """
+
     def __init__(
         self,
         workload: Workload,
@@ -272,10 +264,11 @@ class _Engine:
         self.cluster = cluster
         self.policy = policy
         self.fc = forecaster
-        self.state = ClusterState(
-            total_cpus=cluster.total_cpus, free_cpus=cluster.total_cpus
-        )
+        self.total_cpus = self.free_cpus = cluster.total_cpus
         self.soft_held = 0
+        self.running: dict[int, tuple[Job, float, float]] = {}
+        self.queue: dict[int, Job] = {}
+        self.active_reservations: dict[int, Reservation] = {}
         self.now = 0.0
         self.events: list[tuple[float, int, int, object]] = []
         self.seq = 0
@@ -315,7 +308,7 @@ class _Engine:
         jobs = self.workload.jobs
         n = len(jobs)
         events = self.events
-        queue = self.state.queue
+        queue = self.queue
         k = 0
         next_submit = jobs[0].submit_time if n else math.inf
         while k < n or events:
@@ -362,12 +355,11 @@ class _Engine:
 
     def _check_accounting(self) -> None:
         # a full recount after every event: every running job, the whole book
-        state = self.state
-        free, total, soft_held = state.free_cpus, state.total_cpus, self.soft_held
+        free, total, soft_held = self.free_cpus, self.total_cpus, self.soft_held
         running = hard = soft = 0
-        for row in state.running.values():  # a plain loop beats sum() on a few rows
+        for row in self.running.values():  # a plain loop beats sum() on a few rows
             running += row[0].cpus
-        book = state.active_reservations
+        book = self.active_reservations
         if book:
             for r in book.values():
                 if r.state is _HELD:
@@ -393,7 +385,7 @@ class _Engine:
     def _cancel_youngest_soft(self) -> None:
         # the book is in res_id order, so the first soft hold from the end
         # is the youngest
-        for res in reversed(self.state.active_reservations.values()):
+        for res in reversed(self.active_reservations.values()):
             if res.state is _HELD and res.decision is Decision.SOFT_RESERVE:
                 break
         else:
@@ -405,11 +397,11 @@ class _Engine:
         live book, and feed the outcome back unless it was cancelled."""
         if res.state is _HELD:
             if res.hard:
-                self.state.free_cpus += res.cpus
+                self.free_cpus += res.cpus
             else:
                 self.soft_held -= res.cpus
         res.state = outcome
-        del self.state.active_reservations[res.res_id]
+        del self.active_reservations[res.res_id]
         if outcome is _CANCELLED:
             return
         came_true = outcome is _CONSUMED
@@ -425,20 +417,20 @@ class _Engine:
         )
 
     def _start_job(self, job: Job) -> None:
-        state, now, cpus, job_id = self.state, self.now, job.cpus, job.job_id
-        if cpus > state.free_cpus:
+        now, cpus, job_id = self.now, job.cpus, job.job_id
+        if cpus > self.free_cpus:
             raise SimulationError(
                 f"start of job {job_id} exceeds capacity "
-                f"({cpus} > {state.free_cpus} free)"
+                f"({cpus} > {self.free_cpus} free)"
             )
         finish = now + job.runtime
         if finish == now:
             raise SimulationError(f"job {job_id}: runtime vanishes at start t={now}")
-        while cpus > state.free_cpus - self.soft_held:
+        while cpus > self.free_cpus - self.soft_held:
             self._cancel_youngest_soft()
-        state.queue.pop(job_id, None)
-        state.free_cpus -= cpus
-        state.running[job_id] = (job, now, now + job.runtime_estimate)
+        self.queue.pop(job_id, None)
+        self.free_cpus -= cpus
+        self.running[job_id] = (job, now, now + job.runtime_estimate)
         self.starts[job_id] = now
         heapq.heappush(self.events, (finish, _FINISH, self.seq, job))
         self.seq += 1
@@ -449,20 +441,18 @@ class _Engine:
         self.submits += 1
         res = None
         if self.fc is not None:
-            res = match_arrival(
-                job, self.state.active_reservations.values(), self.fc.similarity
-            )
+            res = match_arrival(job, self.active_reservations.values(), self.fc.similarity)
             if res is not None:
                 self._end(res, _CONSUMED)
-        if res is not None and res.holds_capacity and job.cpus <= self.state.free_cpus:
+        if res is not None and res.holds_capacity and job.cpus <= self.free_cpus:
             self._start_job(job)
         else:
-            self.state.queue[job.job_id] = job
+            self.queue[job.job_id] = job
         self._policy_pending = True
 
     def _on_finish(self, job: Job) -> None:
-        del self.state.running[job.job_id]
-        self.state.free_cpus += job.cpus
+        del self.running[job.job_id]
+        self.free_cpus += job.cpus
         self.finishes[job.job_id] = self.now
         self.unfinished -= 1
         self._policy_pending = True
@@ -470,14 +460,14 @@ class _Engine:
     def _on_res_start(self, res: Reservation) -> None:
         if res.state is not _PENDING:
             return
-        if res.cpus > self.state.free_cpus - self.soft_held:
+        if res.cpus > self.free_cpus - self.soft_held:
             # capacity promised at creation no longer exists (runtime
             # underestimates); the hold cannot be established
             self._end(res, _CANCELLED)
             return
         res.state = _HELD
         if res.hard:
-            self.state.free_cpus -= res.cpus
+            self.free_cpus -= res.cpus
         else:
             self.soft_held += res.cpus
 
@@ -523,8 +513,9 @@ class _Engine:
         decision = decide(pred.confidence, self.thresholds)
         window_start = max(self.now, pred.predicted_submit - width)
         window_end = pred.predicted_submit + width
-        if decision is not Decision.IGNORE and not self._window_feasible(
-            window_start, window_end, pred.cpus, profile
+        # an admitted window is carved into the tick's one profile at once
+        if decision is not Decision.IGNORE and not profile.hold_if_free(
+            window_start, window_end, pred.cpus
         ):
             self.telemetry.reservations_skipped += 1
             return
@@ -538,15 +529,14 @@ class _Engine:
             match_width=width,
         )
         self.next_res_id += 1
-        self.state.active_reservations[res.res_id] = res
+        self.active_reservations[res.res_id] = res
         self.telemetry.reservations.append(res)
         if res.holds_capacity:
-            profile.hold(window_start, window_end, res.cpus)
             self._push(window_start, _RES_START, res)
         self._push(window_end, _RES_EXPIRE, res)
 
     def _duplicate_reservation(self, pred: PredictedJob, width: float) -> bool:
-        for res in self.state.active_reservations.values():
+        for res in self.active_reservations.values():
             p = res.prediction
             if p.user_id != pred.user_id:
                 continue
@@ -566,50 +556,34 @@ class _Engine:
         over their windows.  Queued jobs are left out, since planner policies
         route around blocks, and an overdue estimate holds nothing."""
         deltas: dict[float, int] = {}
-        for job, _start, fin in self.state.running.values():
+        for job, _start, fin in self.running.values():
             if fin > t0:
                 deltas[t0] = deltas.get(t0, 0) - job.cpus
                 deltas[fin] = deltas.get(fin, 0) + job.cpus
-        for res in self.state.active_reservations.values():
+        for res in self.active_reservations.values():
             if res.holds_capacity and res.window_end > t0:
                 start = max(res.window_start, t0)
                 deltas[start] = deltas.get(start, 0) - res.cpus
                 deltas[res.window_end] = deltas.get(res.window_end, 0) + res.cpus
         # the loads that begin at t0 are taken into the first level
-        return CapacityProfile(t0, self.state.total_cpus + deltas.get(t0, 0), deltas)
-
-    def _window_feasible(
-        self, ws: float, we: float, cpus: int, profile: Optional[CapacityProfile] = None
-    ) -> bool:
-        """Would holding `cpus` through [ws, we) ever exceed the cluster?
-
-        profile is the admission profile from some time at or before ws;
-        without one, the check builds its own from ws.  Loads that end
-        before ws or start after we do not touch the answer.
-        """
-        if profile is None:
-            profile = self._admission_profile(ws)
-        times = profile.times
-        lo = bisect.bisect_right(times, ws) - 1  # the step that holds at ws
-        hi = bisect.bisect_left(times, we)  # the steps that start before we
-        return we <= ws or min(profile.free[lo:hi]) >= cpus
+        return CapacityProfile(t0, self.total_cpus + deltas.get(t0, 0), deltas)
 
     # -- policy dispatch ----------------------------------------------------
 
     def _invoke_policy(self) -> None:
         # the queue and the running rows are kept in the view's order, so
         # the view is two tuple copies
-        state = self.state
+        queue = self.queue
         view = SchedulerView(
             self.now,
-            state.total_cpus,
-            state.free_cpus,
-            tuple(state.queue.values()),
-            tuple(state.running.values()),
+            self.total_cpus,
+            self.free_cpus,
+            tuple(queue.values()),
+            tuple(self.running.values()),
             self._hard_windows() if self.fc is not None else (),
         )
         for job in self.policy.select(view):
-            if job.job_id not in state.queue:
+            if job.job_id not in queue:
                 raise SimulationError(
                     f"policy {self.policy.name} started job {job.job_id} "
                     "which is not queued"
@@ -618,7 +592,7 @@ class _Engine:
 
     def _hard_windows(self):
         rows = []
-        for res in self.state.active_reservations.values():
+        for res in self.active_reservations.values():
             if res.decision is Decision.HARD_RESERVE:
                 start = self.now if res.state is _HELD else res.window_start
                 rows.append((start, res.window_end, res.cpus))

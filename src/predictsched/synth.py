@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,12 +51,13 @@ class SynthSpec:
     estimate_factor: float = 1.0  # runtime_estimate = runtime * factor
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.background_rate < 0:
-            raise ValueError("background_rate must be >= 0")
-        if self.estimate_factor < 1.0:
-            raise ValueError("estimate_factor must be >= 1")
+        # written so that NaN fails each test
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be a finite number > 0")
+        if not 0 <= self.background_rate < math.inf:
+            raise ValueError("background_rate must be a finite number >= 0")
+        if not 1.0 <= self.estimate_factor < math.inf:
+            raise ValueError("estimate_factor must be a finite number >= 1")
 
 
 @dataclass(frozen=True)

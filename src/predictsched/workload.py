@@ -96,8 +96,8 @@ class TimeSeries:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise ValueError("bin_width must be > 0")
+        if not 0 < self.bin_width < math.inf:
+            raise ValueError(f"bin_width must be a finite number > 0, got {self.bin_width}")
         if len(self.values) < 1:
             raise ValueError("series must have at least one value")
 
@@ -299,8 +299,8 @@ def to_time_series(
         gaps = np.diff(submits)
         return TimeSeries(start_time=start, bin_width=1.0, values=tuple(gaps))
 
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be a finite number > 0, got {bin_width}")
     idx = np.floor((submits - start) / bin_width).astype(int)
     nbins = int(idx.max()) + 1
     if channel == "submitted_job_count":

@@ -344,6 +344,19 @@ class TestSynth:
         assert len(truth_rows) == 10
         assert truth_rows[0]["template_id"] == "0"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["horizon", "background_rate", "estimate_factor"])
+    def test_non_finite_spec_number_exit_1(self, key, value, tmp_path, capsys):
+        # a NaN horizon used to switch clipping off and write the workload
+        rule = {"horizon": "> 0", "background_rate": ">= 0", "estimate_factor": ">= 1"}[key]
+        settings = {"horizon": "864000", key: value}
+        spec = tmp_path / "spec.ini"
+        spec.write_text("[workload]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be a finite number {rule}\n"
+        assert not out.exists()
+
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.ini"
         spec.write_text(SPEC_TEXT)

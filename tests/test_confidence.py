@@ -321,6 +321,12 @@ class TestUpdateThresholds:
         with pytest.raises(ValueError):
             ThresholdState(t_low=-0.1, t_high=0.5)
 
+    @pytest.mark.parametrize("step", [-0.01, math.nan, math.inf])
+    def test_step_must_be_finite_and_non_negative(self, step):
+        # a NaN step used to drop t_low to 0 at the first low-confidence hit
+        with pytest.raises(ValueError, match="step must be a finite number >= 0"):
+            ThresholdState(step=step)
+
 
 def test_feedback_csv_layout():
     pred = PredictedJob(

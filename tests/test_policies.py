@@ -60,6 +60,10 @@ class TestCapacityProfile:
         profile = CapacityProfile.from_view(v)
         assert profile.earliest_fit(2, 10.0, 0.0) == 0.0  # 2 cpus free throughout
         assert profile.earliest_fit(4, 1.0, 0.0) == 5.0
+        assert profile.fits(0.0, 10.0, 2) and not profile.fits(0.0, 1.0, 4)
+        assert profile.fits(5.0, 1.0, 4) and not profile.fits(4.0, 2.0, 4)
+        # a start before now never fits, though the last level would hold it
+        assert not CapacityProfile(10.0, 4, {20.0: -4, 30.0: 4}).fits(5.0, 1.0, 4)
 
     def test_reserve_carves_capacity(self):
         profile = CapacityProfile(0.0, 4, {})

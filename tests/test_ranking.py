@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ class TestPrincipalEigenvector:
     def test_nonpositive_matrix_rejected(self):
         with pytest.raises(ValueError):
             principal_eigenvector([[1.0, 0.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf])
+    def test_non_finite_matrix_rejected_up_front(self, cell):
+        # before, 10,000 iterations ran and failed on a NaN gap
+        with pytest.raises(ValueError, match="matrix entries must be finite numbers"):
+            principal_eigenvector([[1.0, cell], [2.0, 1.0]])
 
 
 class TestMatrixIO:

@@ -409,7 +409,7 @@ class BookCheckingEngine(_Engine):
     def _check_accounting(self):
         super()._check_accounting()
         live = [r for r in self.telemetry.reservations if r.live]
-        book = self.state.active_reservations
+        book = self.active_reservations
         assert list(book) == [r.res_id for r in live]
         assert all(book[r.res_id] is r for r in live)
         self.checks += 1
@@ -423,7 +423,7 @@ class TestLiveBook:
         )
         engine.run()
         assert engine.checks > 0
-        assert engine.state.active_reservations == {}
+        assert engine.active_reservations == {}
         history = engine.telemetry.reservations
         assert [r.res_id for r in history] == list(range(engine.next_res_id))
         # every way out of the book is exercised
@@ -516,14 +516,15 @@ class TestNoLookahead:
 
 def sweep_window_feasible(engine, ws, we, cpus):
     """The admission check as a sweep over the start points of the loads,
-    kept as the reference for _Engine._window_feasible."""
+    kept as the reference for CapacityProfile.hold_if_free on the engine's
+    admission profile."""
     points = {ws}
     loads = []
-    for job, _start, est_finish in engine.state.running.values():
+    for job, _start, est_finish in engine.running.values():
         fin = max(est_finish, engine.now)
         if fin > ws:
             loads.append((ws, fin, job.cpus))
-    for res in engine.state.active_reservations.values():
+    for res in engine.active_reservations.values():
         if res.holds_capacity:
             if res.window_end > ws and res.window_start < we:
                 loads.append((max(res.window_start, ws), res.window_end, res.cpus))
@@ -534,7 +535,7 @@ def sweep_window_feasible(engine, ws, we, cpus):
         if t >= we:
             continue
         busy = sum(c for t0, t1, c in loads if t0 <= t < t1)
-        if busy + cpus > engine.state.total_cpus:
+        if busy + cpus > engine.total_cpus:
             return False
     return True
 
@@ -553,14 +554,14 @@ def admission_cases(draw):
         cpus = draw(st.integers(1, total))
         start = now - draw(_t)
         est_finish = now + draw(st.integers(-24, 24))  # overdue when below now
-        engine.state.running[i] = (make_job(i + 1, start, 1.0, cpus), start, est_finish)
+        engine.running[i] = (make_job(i + 1, start, 1.0, cpus), start, est_finish)
     for res_id in range(draw(st.integers(0, 6))):
         state = draw(st.sampled_from([ResState.PENDING, ResState.HELD]))
         # a HELD window has opened; a PENDING one opens now or later
         ws_r = now - draw(_t) if state is ResState.HELD else now + draw(_t)
         we_r = ws_r + draw(_t)
         pred = PredictedJob(pattern_id=res_id, predicted_submit=ws_r, cpus=1, runtime=1.0)
-        engine.state.active_reservations[res_id] = Reservation(
+        engine.active_reservations[res_id] = Reservation(
             res_id=res_id,
             prediction=pred,
             cpus=draw(st.integers(1, total)),
@@ -581,25 +582,30 @@ class TestWindowFeasibleMatchesSweep:
     def test_profile_check_equals_sweep(self, case):
         engine, ws, we, cpus = case
         expected = sweep_window_feasible(engine, ws, we, cpus)
-        assert engine._window_feasible(ws, we, cpus) == expected
-        tick_profile = engine._admission_profile(engine.now)
-        assert engine._window_feasible(ws, we, cpus, tick_profile) == expected
+        # a profile from the window's start, and the tick's one from now
+        for t0 in (ws, engine.now):
+            profile = engine._admission_profile(t0)
+            before = (profile.times[:], profile.free[:])
+            assert profile.hold_if_free(ws, we, cpus) == expected
+            if not expected or we <= ws:
+                assert (profile.times, profile.free) == before
 
     @settings(max_examples=400, deadline=None)
     @given(admission_cases(), _t, _t, st.integers(1, 12))
     def test_held_window_equals_one_in_the_book(self, case, lead, length, cpus):
-        # a tick carves each reservation it admits into its one profile; the
-        # next check must answer as if that reservation were in the book
+        # a tick carves each reservation it admits into its one profile, and
+        # nothing for one it skips; the next check must answer as if exactly
+        # the admitted ones were in the book
         engine, ws, we, held = case
         profile = engine._admission_profile(engine.now)
-        profile.hold(ws, we, held)
-        pred = PredictedJob(pattern_id=99, predicted_submit=ws, cpus=held, runtime=1.0)
-        engine.state.active_reservations[99] = Reservation(
-            99, pred, held, ws, we, Decision.HARD_RESERVE, 0.0
-        )
+        if profile.hold_if_free(ws, we, held):
+            pred = PredictedJob(pattern_id=99, predicted_submit=ws, cpus=held, runtime=1.0)
+            engine.active_reservations[99] = Reservation(
+                99, pred, held, ws, we, Decision.HARD_RESERVE, 0.0
+            )
         ws2 = engine.now + lead
         we2 = ws2 + length
-        assert engine._window_feasible(ws2, we2, cpus, profile) == sweep_window_feasible(
+        assert profile.hold_if_free(ws2, we2, cpus) == sweep_window_feasible(
             engine, ws2, we2, cpus
         )
 
@@ -630,7 +636,7 @@ class ParentLoopEngine(_Engine):
                 self._on_forecast()
             if self._policy_pending and (not self.events or self.events[0][0] > time):
                 self._policy_pending = False
-                if self.state.queue:
+                if self.queue:
                     self._invoke_policy()
             self._check_accounting()
         assert not self.unfinished
@@ -645,8 +651,8 @@ class ParentLoopEngine(_Engine):
             self.policy.name,
         )
 
-    def _window_feasible(self, ws, we, cpus, profile=None):
-        return super()._window_feasible(ws, we, cpus)
+    def _consider_prediction(self, pred, pattern, profile):
+        super()._consider_prediction(pred, pattern, self._admission_profile(self.now))
 
 
 class HeapBoundEngine(_Engine):
@@ -657,7 +663,7 @@ class HeapBoundEngine(_Engine):
 
     def _check_accounting(self):
         super()._check_accounting()
-        assert len(self.events) == len(self.state.running)
+        assert len(self.events) == len(self.running)
         self.checks += 1
 
 

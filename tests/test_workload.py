@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import pytest
 
 from predictsched import (
     ParseError,
+    TimeSeries,
     parse_csv,
     parse_swf,
     to_time_series,
@@ -263,6 +265,15 @@ class TestTimeSeries:
         wl = make_workload(make_job(1, 0, 10, 1))
         with pytest.raises(ValueError):
             to_time_series(wl, "interarrival")
+
+    @pytest.mark.parametrize("bin_width", [0.0, -1.0, math.nan, math.inf])
+    def test_bin_width_must_be_finite_and_positive(self, bin_width):
+        wl = make_workload(make_job(1, 0, 10, 1), make_job(2, 50, 10, 1))
+        for channel in ("submitted_job_count", "submitted_cpu_time"):
+            with pytest.raises(ValueError, match="bin_width must be a finite number > 0"):
+                to_time_series(wl, channel, bin_width)
+        with pytest.raises(ValueError, match="bin_width must be a finite number > 0"):
+            TimeSeries(start_time=0.0, bin_width=bin_width, values=(1.0,))
 
     def test_unknown_channel(self):
         wl = make_workload(make_job(1, 0, 10, 1))
