@@ -14,7 +14,9 @@ while the fresh profile shows that it still holds and, for best-gap, until
 the gap holding now could become a waiting job's best fit.  After a job
 starts from behind a waiting one, the gap policies first place the jobs
 ahead of it again and keep the rest of the plan if those starts come back
-unchanged (see Planner).
+unchanged (see Planner).  A plan made because the profile changed under
+the kept one places the queue only up to its last job that can start now,
+and easy-bf ends its scan once no processor is free now.
 """
 
 from __future__ import annotations
@@ -257,11 +259,11 @@ def _edf_key(job: Job):
 
 
 class Planner(Policy):
-    """Plans the whole queue in order on a capacity profile and starts the
-    jobs planned for now.  _place(profile, job) carves a job's slot out of
-    the profile and gives its start, or None, carving nothing, when it fits
-    nowhere; last_placements maps each job placed at the last call to its
-    start.
+    """Plans the queue in order on a capacity profile and starts the jobs
+    planned for now.  _place(profile, job) carves a job's slot out of the
+    profile and gives its start, or None, carving nothing, when it fits
+    nowhere; last_placements maps each queued job at the last call to the
+    start a plan of the whole queue gives it.
 
     The plan outlives the call.  The next call places only the jobs that
     joined the queue, on the kept plan profile, if all of these hold:
@@ -288,6 +290,24 @@ class Planner(Policy):
     new hard window changes the fresh profile.  A call that leaves fewer
     than two jobs waiting keeps nothing, because checking a plan costs about
     what placing one job again does.
+
+    A plan made because 3 failed (1, 2, 4 and 5 held) defers the tail of
+    the queue.  After the first job not planned for now, it places jobs
+    only up to the last one that still fits now on the plan as it stands
+    (take's test at now, free >= cpus over [now, now + estimate), in each
+    policy's own float arithmetic; see _window_end).  After each placement
+    that starts inside that job's window it finds the bound again,
+    scanning back.  This is exact: carving only lowers the profile, so a
+    job that does not fit now at one point never does later in the call,
+    and take, esg and best-gap all start a job now only if it fits now.
+    The kept plan holds the placed jobs as waiting, so a call that reuses
+    it places the deferred jobs with the joined ones; last_placements
+    places them on a copy of the plan.  Deferral needs the fresh profile
+    to differ, because then the plan is likely stale again at the next
+    event (an early finish); after a plan that held, the next call would
+    place the deferred jobs anyway, which cost more than it saved.
+    cons-bf and dl defer only when every queued job already holds its
+    first_planned promise.
     """
 
     _repairs = False  # re-place the jobs ahead of the last started one
@@ -298,34 +318,94 @@ class Planner(Policy):
         #  of them were ahead of the last job started)
         self._kept = None
         self._holds_until = math.inf  # _place may lower it; see GapPolicy
-        self._last: tuple[tuple[Job, ...], list[float]] = ((), [])
+        # (queue, its placements, plan): jobs past the placements were deferred
+        self._last: tuple[tuple[Job, ...], list[float], Optional[CapacityProfile]] = (
+            (), [], None)
 
     @property
     def last_placements(self) -> dict[int, float]:
-        queue, planned = self._last
+        queue, planned, plan = self._last
+        if len(planned) < len(queue):
+            # the jobs that call deferred, placed on a copy of its plan as a
+            # plan that defers nothing would; best-gap's bound stays the kept
+            # plan's
+            holds_until = self._holds_until
+            planned = planned[:]
+            self._place_all(plan.copy(), queue[len(planned):], plan.times[0], planned, [])
+            self._holds_until = holds_until
         return {job.job_id: t for job, t in zip(queue, planned) if t != math.inf}
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         raise NotImplementedError
 
+    def _may_defer(self, queue: tuple[Job, ...]) -> bool:
+        return True
+
+    def _window_end(self, plan: CapacityProfile, job: Job, now: float) -> Optional[float]:
+        """If job fits now on plan, the first step time at or past the end
+        of its window from now (inf when there is none); else None.  This is
+        take's test at now, in take's arithmetic."""
+        times, free, cpus = plan.times, plan.free, job.cpus
+        end = now + job.runtime_estimate
+        n = len(times)
+        j = 0
+        while free[j] >= cpus:
+            j += 1
+            if j == n:
+                return math.inf
+            if times[j] >= end:
+                return times[j]
+        return None
+
     def _place_all(self, plan: CapacityProfile, jobs, now: float,
-                   planned: list[float], starts: list[Job]) -> None:
+                   planned: list[float], starts: list[Job], defer: bool = False) -> None:
         """Place jobs in order on plan, appending each one's start to planned
-        (inf when it fits nowhere) and the jobs planned for now to starts."""
+        (inf when it fits nowhere) and the jobs planned for now to starts.
+        With defer (and planned empty at first), the first job not planned
+        for now hands the rest to _place_starters."""
         place = self._place
         for job in jobs:
             t = place(plan, job)
             if t is None:
                 planned.append(math.inf)  # waits, holding nothing
+            else:
+                planned.append(t)
+                if t == now:
+                    starts.append(job)
+                    continue
+            if defer:
+                self._place_starters(plan, jobs, len(planned), now, planned, starts)
+                return
+
+    def _place_starters(self, plan: CapacityProfile, jobs, k: int, now: float,
+                        planned: list[float], starts: list[Job]) -> None:
+        """Place jobs[k:] in order, but only up to the last one that fits
+        now; the jobs after it cannot start now and stay unplaced."""
+        place, window_end = self._place, self._window_end
+        b, stop = len(jobs), None  # jobs[b:] do not fit now
+        while k < b:
+            if stop is None:
+                stop = window_end(plan, jobs[b - 1], now)
+                if stop is None:
+                    b -= 1
+                continue
+            job = jobs[k]
+            k += 1
+            t = place(plan, job)
+            if t is None:
+                planned.append(math.inf)
                 continue
             planned.append(t)
             if t == now:
                 starts.append(job)
+            if t < stop:  # the carve reached the window of jobs[b - 1]
+                stop = None
 
     def select(self, view: SchedulerView) -> list[Job]:
         now, queue = view.now, view.queue
         fresh = CapacityProfile.from_view(view)
         kept = self._kept
+        defer = False
         if kept is not None:
             self._kept = None
             t0, base, plan, waiting, planned, earliest, ahead = kept
@@ -336,6 +416,7 @@ class Planner(Policy):
                 base.advance(now)
                 if base.times != fresh.times or base.free != fresh.free:
                     kept = None
+                    defer = self._may_defer(queue)
         if kept is not None and ahead:
             # the jobs ahead of the last one started were placed without it;
             # place them again, as a fresh plan would (base equals fresh)
@@ -356,16 +437,17 @@ class Planner(Policy):
             starts = [] if earliest > now else [
                 job for job, t in zip(waiting, planned) if t == now]
             tail = queue[len(waiting):]
-        self._place_all(plan, tail, now, planned, starts)
-        self._last = (queue, planned)
+        self._place_all(plan, tail, now, planned, starts, defer)
+        self._last = (queue, planned, plan)
         n = len(starts)
         if plan is fresh or n > len(queue) - 2:
             return starts
         ahead = 0
+        placed = len(planned)  # short of the queue when jobs were deferred
         if n == 0:
-            waiting = queue
+            waiting = queue if placed == len(queue) else queue[:placed]
         elif starts[-1] is queue[n - 1]:  # the started jobs lead the queue
-            waiting, planned = queue[n:], planned[n:]
+            waiting, planned = queue[n:placed], planned[n:]
         else:
             # the jobs left waiting, their starts, and how many of them were
             # ahead of the last job started, in one pass
@@ -389,7 +471,9 @@ class ConservativeBackfill(Planner):
     """Every queued job holds a planned start; early starts never displace one.
 
     Each job is planned at its earliest fit, in submit order, on the plan
-    that Planner keeps between calls and checks against the fresh profile.
+    that Planner keeps between calls and checks against the fresh profile;
+    a plan made because the profile changed may leave the jobs that cannot
+    start now unplaced, once each of them holds its promise.
     Re-planning does not always move planned starts earlier, even with
     estimates that do not understate runtimes: an early finish can let a
     wide job ahead in the queue take the slot a later job was planned in,
@@ -409,12 +493,24 @@ class ConservativeBackfill(Planner):
             self.first_planned.setdefault(job.job_id, t)
         return t
 
+    def _may_defer(self, queue: tuple[Job, ...]) -> bool:
+        # a deferred job must have had its promise; a job that fit nowhere
+        # (behind an overdue one) has none, so every job is looked up
+        promised = self.first_planned
+        for job in reversed(queue):
+            if job.job_id not in promised:
+                return False
+        return True
+
 
 class EasyBackfill(Policy):
     """Only the queue head holds a planned start; others may jump it harmlessly.
 
     shadow_log records (now, head id, head planned start) at every decision
-    so the no-head-delay guarantee can be audited after a run.
+    so the no-head-delay guarantee can be audited after a run.  Once the
+    head's shadow is carved, the scan ends as soon as no processor is free
+    now: free now changes only when a job starts now, and every job needs
+    a processor.
     """
 
     name = "easy-bf"
@@ -429,15 +525,17 @@ class EasyBackfill(Policy):
         now = view.now
         starts: list[Job] = []
         head_seen = False
-        take = profile.take
+        take, free = profile.take, profile.free
         for job in view.queue:
             if take(job.cpus, job.runtime_estimate, now) is not None:
                 starts.append(job)
+                if head_seen and free[0] <= 0:
+                    break
             elif not head_seen:
                 head_seen = True
                 shadow = take(job.cpus, job.runtime_estimate)
                 self.shadow_log.append((now, job.job_id, shadow))
-                if shadow is None:
+                if shadow is None or free[0] <= 0:
                     break
         return starts
 
@@ -472,6 +570,21 @@ class GapPolicy(Planner):
 
     _repairs = True
     _best = False
+
+    def _window_end(self, plan: CapacityProfile, job: Job, now: float) -> Optional[float]:
+        # Planner's test in the gap scan's arithmetic, which measures a gap
+        # as its end minus its start: a gap-long job's end can round past
+        # the gap
+        times, free, cpus, estimate = plan.times, plan.free, job.cpus, job.runtime_estimate
+        n = len(times)
+        j = 0
+        while free[j] >= cpus:
+            j += 1
+            if j == n:
+                return math.inf
+            if times[j] - now >= estimate:
+                return times[j]
+        return None
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         """Carve the job out of the chosen gap and give its start, in one

@@ -32,10 +32,15 @@ class SynthTemplate:
     runtime_jitter: float = 0.0  # fraction of runtime, uniform +/-
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("template period must be > 0")
-        if self.runtime <= 0 or self.cpus < 1 or self.count < 1:
-            raise ValueError("template runtime/cpus/count must be positive")
+        # written so that NaN fails each test
+        if not 0 < self.period < math.inf:
+            raise ValueError("template period must be a finite number > 0")
+        if not 0 < self.runtime < math.inf:
+            raise ValueError("template runtime must be a finite number > 0")
+        if not -math.inf < self.offset < math.inf:
+            raise ValueError("template offset must be a finite number")
+        if self.cpus < 1 or self.count < 1:
+            raise ValueError("template cpus/count must be positive")
         if not 0 <= self.submit_jitter < 1 or not 0 <= self.runtime_jitter < 1:
             raise ValueError("jitter fractions must lie in [0, 1)")
 

@@ -357,6 +357,18 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {key} must be a finite number {rule}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["period", "runtime", "offset"])
+    def test_non_finite_template_number_exit_1(self, key, value, tmp_path, capsys):
+        rule = {"period": " > 0", "runtime": " > 0", "offset": ""}[key]
+        spec = tmp_path / "spec.ini"
+        lines = [line for line in SPEC_TEXT.splitlines() if not line.startswith(f"{key} =")]
+        spec.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: template {key} must be a finite number{rule}\n"
+        assert not out.exists()
+
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.ini"
         spec.write_text(SPEC_TEXT)

@@ -536,6 +536,7 @@ class FreshChecked(Policy):
         self.inner = inner
         self.name = inner.name
         self.calls = 0
+        self.deferring = 0  # calls that left queued jobs unplaced
 
     def select(self, view):
         fresh = make_policy(self.inner.name)
@@ -543,14 +544,18 @@ class FreshChecked(Policy):
         before = set(getattr(self.inner, "first_planned", ()))
         got = self.inner.select(view)
         self.calls += 1
+        queue, planned, _plan = self.inner._last
+        self.deferring += len(planned) < len(queue)
 
         def new_promises(policy):
             promised = getattr(policy, "first_planned", {})
             return {k: t for k, t in promised.items() if k not in before}
 
         assert got == want, view.now
-        assert self.inner.last_placements == fresh.last_placements, view.now
+        # before last_placements, whose placing of deferred jobs would
+        # promise any that were left without a promise
         assert new_promises(self.inner) == new_promises(fresh), view.now
+        assert self.inner.last_placements == fresh.last_placements, view.now
         return got
 
 
@@ -839,3 +844,129 @@ class TestKeptPlanMatchesFresh:
         assert any(r.hard for r in tel.reservations)
         again = trace_to_csv(run(wl, cluster, checked.inner, _weekly_dl_config()))
         assert again == trace_to_csv(run(wl, cluster, "dl", _weekly_dl_config()))
+
+
+def overestimated(workload, factor=3.0):
+    return make_workload(*(
+        dataclasses.replace(j, runtime_estimate=factor * j.runtime) for j in workload.jobs
+    ))
+
+
+def eager(token):
+    """The token's planner with the deferral of a stale plan's tail
+    switched off: every plan places the whole queue."""
+    cls = type(make_policy(token))
+    return type(f"Eager{cls.__name__}", (cls,), {"_may_defer": lambda self, queue: False})()
+
+
+class Twinned(Policy):
+    """Runs a planner and a twin on the same views and checks, at every
+    call, that both start the same jobs and report the same placements."""
+
+    def __init__(self, inner, twin):
+        self.inner, self.twin = inner, twin
+        self.name = inner.name
+
+    def select(self, view):
+        want = self.twin.select(view)
+        got = self.inner.select(view)
+        assert got == want, view.now
+        # before last_placements, whose placing of deferred jobs would
+        # promise any that were left without a promise
+        promised = getattr(self.twin, "first_planned", None)
+        assert getattr(self.inner, "first_planned", None) == promised, view.now
+        bound = self.inner._holds_until
+        assert self.inner.last_placements == self.twin.last_placements, view.now
+        assert self.inner._holds_until == bound  # reading it keeps the plan
+        return got
+
+
+class FullScanEasy(Policy):
+    """easy-bf as it was before its scan ended at a full cluster: every
+    queued job is tried at now."""
+
+    name = "easy-bf"
+
+    def __init__(self):
+        self.shadow_log = []
+
+    def select(self, view):
+        profile = CapacityProfile.from_view(view)
+        starts, head_seen = [], False
+        for job in view.queue:
+            if profile.take(job.cpus, job.runtime_estimate, view.now) is not None:
+                starts.append(job)
+            elif not head_seen:
+                head_seen = True
+                shadow = profile.take(job.cpus, job.runtime_estimate)
+                self.shadow_log.append((view.now, job.job_id, shadow))
+                if shadow is None:
+                    break
+        return starts
+
+
+class TestPlanOnlyWhatCanStart:
+    """A plan made because the profile changed under the kept one places the
+    queue only up to its last job that can start now, and easy-bf stops
+    trying jobs once no cpu is free; nothing they record moves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_workloads())
+    def test_planners_match_an_eager_twin(self, case):
+        wl, cluster = case
+        for token in ("cons-bf", "esg", "best-gap"):
+            policy, twin = make_policy(token), eager(token)
+            trace = run(wl, cluster, Twinned(policy, twin))
+            assert getattr(policy, "first_planned", None) == getattr(twin, "first_planned", None)
+            assert trace_to_csv(trace) == trace_to_csv(run(wl, cluster, eager(token))), token
+
+    @settings(max_examples=60, deadline=None)
+    @given(workloads_with_hard_windows())
+    def test_dl_matches_an_eager_twin_around_hard_windows(self, case):
+        wl, cluster, windows = case
+        policy, twin = make_policy("dl"), eager("dl")
+        trace = run(wl, cluster, WithHardWindows(Twinned(policy, twin), windows))
+        assert policy.first_planned == twin.first_planned
+        again = run(wl, cluster, WithHardWindows(eager("dl"), windows))
+        assert trace_to_csv(trace) == trace_to_csv(again)
+
+    @pytest.mark.parametrize("token, most", [
+        # plans of the whole queue placed 2,320 (cons-bf, dl), 9,095 (esg)
+        # and 10,375 (best-gap) times
+        ("cons-bf", 1630), ("dl", 1630), ("esg", 8521), ("best-gap", 9727),
+    ])
+    def test_stale_plans_defer_on_an_overestimated_saturated_trace(self, token, most):
+        wl, cluster = overestimated(saturated_workload()), ClusterConfig(24)
+        checked = FreshChecked(make_policy(token))
+        run(wl, cluster, checked)
+        assert checked.deferring > 0
+        policy = make_policy(token)
+        placed = record_placements(policy)
+        run(wl, cluster, policy)
+        assert len(placed) <= most
+
+    @pytest.mark.parametrize("token", ["cons-bf", "esg", "best-gap", "dl"])
+    def test_no_placements_before_the_first_call(self, token):
+        assert make_policy(token).last_placements == {}
+
+    def test_gap_window_in_the_gap_scans_arithmetic(self):
+        # at 4 cpus [1.5, 2**52 + 3) is 2**52 + 2 long in floats, so a gap
+        # policy starts a job that long at now, but 1.5 + (2**52 + 2)
+        # rounds to 2**52 + 4, so take finds the step at 3 cpus in its way
+        job = make_job(1, 0, 2.0**52 + 2, 4)
+        for token in ("esg", "best-gap"):
+            profile = CapacityProfile(1.5, 4, {2.0**52 + 3: -1.0})
+            policy = make_policy(token)
+            assert policy._window_end(profile, job, 1.5) == 2.0**52 + 3
+            assert policy._place(profile, job) == 1.5
+        profile = CapacityProfile(1.5, 4, {2.0**52 + 3: -1.0})
+        assert make_policy("cons-bf")._window_end(profile, job, 1.5) is None
+        assert profile.take(job.cpus, job.runtime_estimate, 1.5) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_workloads())
+    def test_easy_matches_the_full_scan(self, case):
+        wl, cluster = case
+        policy, full = make_policy("easy-bf"), FullScanEasy()
+        assert trace_to_csv(run(wl, cluster, policy)) == trace_to_csv(run(wl, cluster, full))
+        assert policy.shadow_log == full.shadow_log

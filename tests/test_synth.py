@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,14 @@ class TestSynthWorkload:
             SynthSpec(horizon=0, templates=())
         with pytest.raises(ValueError):
             SynthTemplate(user_id=1, cpus=4, runtime=3600, period=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["period", "runtime", "offset"])
+    def test_non_finite_template_number_rejected(self, field, value):
+        # a NaN used to fail later as "job 1: times must be finite numbers",
+        # and an infinite offset gave a workload with no template jobs
+        with pytest.raises(ValueError, match=f"template {field} must be a finite number"):
+            dataclasses.replace(daily_template(), **{field: value})
 
 
 class TestSpecFile:
