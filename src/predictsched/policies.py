@@ -287,27 +287,28 @@ class Planner(Policy):
     hence 6.  Once those match, the plan profile carves the same rectangles
     as a fresh one (split points form a set and levels are integer sums, so
     carving commutes).  A finish off its estimate, a lapsed estimate or a
-    new hard window changes the fresh profile.  A call that leaves fewer
-    than two jobs waiting keeps nothing, because checking a plan costs about
-    what placing one job again does.
+    new hard window changes the fresh profile.  A call that starts all but
+    at most one queued job keeps nothing, because checking a plan costs
+    about what placing one job again does; the count is of the queue, so a
+    plan that deferred jobs (below) may keep a single waiting one.
 
     A plan made because 3 failed (1, 2, 4 and 5 held) defers the tail of
     the queue.  After the first job not planned for now, it places jobs
     only up to the last one that still fits now on the plan as it stands
-    (take's test at now, free >= cpus over [now, now + estimate), in each
-    policy's own float arithmetic; see _window_end).  After each placement
-    that starts inside that job's window it finds the bound again,
-    scanning back.  This is exact: carving only lowers the profile, so a
-    job that does not fit now at one point never does later in the call,
-    and take, esg and best-gap all start a job now only if it fits now.
-    The kept plan holds the placed jobs as waiting, so a call that reuses
-    it places the deferred jobs with the joined ones; last_placements
-    places them on a copy of the plan.  Deferral needs the fresh profile
-    to differ, because then the plan is likely stale again at the next
-    event (an early finish); after a plan that held, the next call would
-    place the deferred jobs anyway, which cost more than it saved.
-    cons-bf and dl defer only when every queued job already holds its
-    first_planned promise.
+    (free >= cpus over [now, now + estimate), by take's float arithmetic
+    or the gap scan's; see _window_end).  After each placement that starts
+    inside that job's window it finds the bound again, scanning back.
+    This is exact: carving only lowers the profile, so a job that does not
+    fit now at one point never does later in the call, and take, esg and
+    best-gap all start a job now only if it fits now.  The kept plan holds
+    the placed jobs as waiting, so a call that reuses it places the
+    deferred jobs with the joined ones; last_placements places them on a
+    copy of the plan.  Deferral needs the fresh profile to differ, because
+    then the plan is likely stale again at the next event (an early
+    finish); after a plan that held, the next call would place the
+    deferred jobs anyway, which cost more than it saved.  cons-bf and dl
+    defer only jobs that already hold their first_planned promise: when
+    one of the jobs past the bound has none, they are all placed.
     """
 
     _repairs = False  # re-place the jobs ahead of the last started one
@@ -318,14 +319,14 @@ class Planner(Policy):
         #  of them were ahead of the last job started)
         self._kept = None
         self._holds_until = math.inf  # _place may lower it; see GapPolicy
-        # (queue, its placements, plan): jobs past the placements were deferred
+        # (queue, its placements, and the plan only if jobs past those were deferred)
         self._last: tuple[tuple[Job, ...], list[float], Optional[CapacityProfile]] = (
             (), [], None)
 
     @property
     def last_placements(self) -> dict[int, float]:
         queue, planned, plan = self._last
-        if len(planned) < len(queue):
+        if plan is not None:
             # the jobs that call deferred, placed on a copy of its plan as a
             # plan that defers nothing would; best-gap's bound stays the kept
             # plan's
@@ -338,51 +339,58 @@ class Planner(Policy):
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         raise NotImplementedError
 
-    def _may_defer(self, queue: tuple[Job, ...]) -> bool:
+    def _may_defer(self, jobs) -> bool:
         return True
 
     def _window_end(self, plan: CapacityProfile, job: Job, now: float) -> Optional[float]:
         """If job fits now on plan, the first step time at or past the end
-        of its window from now (inf when there is none); else None.  This is
-        take's test at now, in take's arithmetic."""
-        times, free, cpus = plan.times, plan.free, job.cpus
-        end = now + job.runtime_estimate
+        of its window from now (inf when there is none); else None.  A step
+        ends the window by take's test or by the gap scan's, which measures
+        a gap as its end minus its start (a gap-long job's end can round
+        past the gap); passing either is enough, as deferral only needs to
+        pass every job the policy could start now."""
+        times, free, cpus, estimate = plan.times, plan.free, job.cpus, job.runtime_estimate
+        end = now + estimate
         n = len(times)
         j = 0
         while free[j] >= cpus:
             j += 1
             if j == n:
                 return math.inf
-            if times[j] >= end:
+            if times[j] >= end or times[j] - now >= estimate:
                 return times[j]
         return None
 
     def _place_all(self, plan: CapacityProfile, jobs, now: float,
-                   planned: list[float], starts: list[Job], defer: bool = False) -> None:
+                   planned: list[float], starts: list[Job]) -> None:
         """Place jobs in order on plan, appending each one's start to planned
-        (inf when it fits nowhere) and the jobs planned for now to starts.
-        With defer (and planned empty at first), the first job not planned
-        for now hands the rest to _place_starters."""
+        (inf when it fits nowhere) and the jobs planned for now to starts."""
         place = self._place
         for job in jobs:
             t = place(plan, job)
             if t is None:
                 planned.append(math.inf)  # waits, holding nothing
-            else:
-                planned.append(t)
-                if t == now:
-                    starts.append(job)
-                    continue
-            if defer:
-                self._place_starters(plan, jobs, len(planned), now, planned, starts)
-                return
+                continue
+            planned.append(t)
+            if t == now:
+                starts.append(job)
 
-    def _place_starters(self, plan: CapacityProfile, jobs, k: int, now: float,
+    def _place_starters(self, plan: CapacityProfile, jobs, now: float,
                         planned: list[float], starts: list[Job]) -> None:
-        """Place jobs[k:] in order, but only up to the last one that fits
-        now; the jobs after it cannot start now and stay unplaced."""
+        """_place_all, but after the first job not planned for now, only up
+        to the last one that fits now; the jobs after it cannot start now
+        and stay unplaced, unless _may_defer refuses them."""
         place, window_end = self._place, self._window_end
-        b, stop = len(jobs), None  # jobs[b:] do not fit now
+        k, b = 0, len(jobs)
+        while k < b:  # the jobs that lead the queue and start now
+            job = jobs[k]
+            k += 1
+            t = place(plan, job)
+            planned.append(math.inf if t is None else t)
+            if t != now:
+                break
+            starts.append(job)
+        stop = None  # jobs[b:] do not fit now; stop ends the window of jobs[b - 1]
         while k < b:
             if stop is None:
                 stop = window_end(plan, jobs[b - 1], now)
@@ -398,14 +406,16 @@ class Planner(Policy):
             planned.append(t)
             if t == now:
                 starts.append(job)
-            if t < stop:  # the carve reached the window of jobs[b - 1]
+            if t < stop:  # the carve reached that window
                 stop = None
+        if k < len(jobs) and not self._may_defer(jobs[k:]):
+            self._place_all(plan, jobs[k:], now, planned, starts)
 
     def select(self, view: SchedulerView) -> list[Job]:
         now, queue = view.now, view.queue
         fresh = CapacityProfile.from_view(view)
         kept = self._kept
-        defer = False
+        stale = False
         if kept is not None:
             self._kept = None
             t0, base, plan, waiting, planned, earliest, ahead = kept
@@ -415,8 +425,7 @@ class Planner(Policy):
             else:
                 base.advance(now)
                 if base.times != fresh.times or base.free != fresh.free:
-                    kept = None
-                    defer = self._may_defer(queue)
+                    kept, stale = None, True
         if kept is not None and ahead:
             # the jobs ahead of the last one started were placed without it;
             # place them again, as a fresh plan would (base equals fresh)
@@ -437,8 +446,12 @@ class Planner(Policy):
             starts = [] if earliest > now else [
                 job for job, t in zip(waiting, planned) if t == now]
             tail = queue[len(waiting):]
-        self._place_all(plan, tail, now, planned, starts, defer)
-        self._last = (queue, planned, plan)
+        if stale:
+            self._place_starters(plan, tail, now, planned, starts)
+            self._last = (queue, planned, plan if len(planned) < len(queue) else None)
+        else:
+            self._place_all(plan, tail, now, planned, starts)
+            self._last = (queue, planned, None)
         n = len(starts)
         if plan is fresh or n > len(queue) - 2:
             return starts
@@ -493,14 +506,10 @@ class ConservativeBackfill(Planner):
             self.first_planned.setdefault(job.job_id, t)
         return t
 
-    def _may_defer(self, queue: tuple[Job, ...]) -> bool:
-        # a deferred job must have had its promise; a job that fit nowhere
-        # (behind an overdue one) has none, so every job is looked up
-        promised = self.first_planned
-        for job in reversed(queue):
-            if job.job_id not in promised:
-                return False
-        return True
+    def _may_defer(self, jobs) -> bool:
+        # a deferred job must have had its promise: a job that joined the
+        # queue or fit nowhere (behind an overdue one) may have none
+        return all(job.job_id in self.first_planned for job in jobs)
 
 
 class EasyBackfill(Policy):
@@ -570,21 +579,6 @@ class GapPolicy(Planner):
 
     _repairs = True
     _best = False
-
-    def _window_end(self, plan: CapacityProfile, job: Job, now: float) -> Optional[float]:
-        # Planner's test in the gap scan's arithmetic, which measures a gap
-        # as its end minus its start: a gap-long job's end can round past
-        # the gap
-        times, free, cpus, estimate = plan.times, plan.free, job.cpus, job.runtime_estimate
-        n = len(times)
-        j = 0
-        while free[j] >= cpus:
-            j += 1
-            if j == n:
-                return math.inf
-            if times[j] - now >= estimate:
-                return times[j]
-        return None
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
         """Carve the job out of the chosen gap and give its start, in one

@@ -17,7 +17,7 @@ from predictsched import (
     run_with_telemetry,
     trace_to_csv,
 )
-from predictsched.policies import CapacityProfile, SchedulerView
+from predictsched.policies import CapacityProfile, Planner, SchedulerView
 
 from conftest import (
     RUNTIMES,
@@ -856,7 +856,7 @@ def eager(token):
     """The token's planner with the deferral of a stale plan's tail
     switched off: every plan places the whole queue."""
     cls = type(make_policy(token))
-    return type(f"Eager{cls.__name__}", (cls,), {"_may_defer": lambda self, queue: False})()
+    return type(f"Eager{cls.__name__}", (cls,), {"_place_starters": Planner._place_all})()
 
 
 class Twinned(Policy):
@@ -959,9 +959,19 @@ class TestPlanOnlyWhatCanStart:
             policy = make_policy(token)
             assert policy._window_end(profile, job, 1.5) == 2.0**52 + 3
             assert policy._place(profile, job) == 1.5
+        # take's test alone would defer the job; passing it as well is exact
         profile = CapacityProfile(1.5, 4, {2.0**52 + 3: -1.0})
-        assert make_policy("cons-bf")._window_end(profile, job, 1.5) is None
-        assert profile.take(job.cpus, job.runtime_estimate, 1.5) is None
+        assert profile.copy().take(job.cpus, job.runtime_estimate, 1.5) is None
+        assert make_policy("cons-bf")._window_end(profile, job, 1.5) == 2.0**52 + 3
+
+    def test_window_in_takes_arithmetic(self):
+        # 1 + 2**53 rounds to 2**53, so take starts a job that long at 1 on
+        # 4 cpus up to 2**53, though the gap scan measures that gap as one
+        # short of the job
+        job = make_job(1, 0, 2.0**53, 4)
+        profile = CapacityProfile(1.0, 4, {2.0**53: -1.0})
+        assert make_policy("cons-bf")._window_end(profile, job, 1.0) == 2.0**53
+        assert make_policy("cons-bf")._place(profile, job) == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(random_workloads())
