@@ -159,6 +159,9 @@ class ThresholdState:
     def __post_init__(self):
         if not 0 <= self.step < math.inf:
             raise ValueError("step must be a finite number >= 0")
+        if not 0 <= self.min_gap < math.inf:
+            # a negative gap let t_high sit below t_low
+            raise ValueError("min_gap must be a finite number >= 0")
         eps = 1e-12  # clamping arithmetic may land on the border inexactly
         if not (
             0.0 <= self.t_low <= self.t_high - self.min_gap + eps

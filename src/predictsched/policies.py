@@ -14,9 +14,9 @@ while the fresh profile shows that it still holds and, for best-gap, until
 the gap holding now could become a waiting job's best fit.  After a job
 starts from behind a waiting one, the gap policies first place the jobs
 ahead of it again and keep the rest of the plan if those starts come back
-unchanged (see Planner).  A plan made because the profile changed under
-the kept one places the queue only up to its last job that can start now,
-and easy-bf ends its scan once no processor is free now.
+unchanged (see Planner).  Every plan places the queue only up to its last
+job that can start now, and easy-bf ends its scan once no processor is free
+now.
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ class Planner(Policy):
     start a plan of the whole queue gives it.
 
     The plan outlives the call.  The next call places only the jobs that
-    joined the queue, on the kept plan profile, if all of these hold:
+    joined the queue and those it deferred (below), on the kept plan
+    profile, if all of these hold:
       1. now is not before the kept call;
       2. the queue starts with the jobs that call left waiting, in order;
       3. the fresh profile has exactly the steps of that call's fresh profile,
@@ -292,23 +293,21 @@ class Planner(Policy):
     about what placing one job again does; the count is of the queue, so a
     plan that deferred jobs (below) may keep a single waiting one.
 
-    A plan made because 3 failed (1, 2, 4 and 5 held) defers the tail of
-    the queue.  After the first job not planned for now, it places jobs
-    only up to the last one that still fits now on the plan as it stands
-    (free >= cpus over [now, now + estimate), by take's float arithmetic
-    or the gap scan's; see _window_end).  After each placement that starts
-    inside that job's window it finds the bound again, scanning back.
-    This is exact: carving only lowers the profile, so a job that does not
-    fit now at one point never does later in the call, and take, esg and
-    best-gap all start a job now only if it fits now.  The kept plan holds
-    the placed jobs as waiting, so a call that reuses it places the
-    deferred jobs with the joined ones; last_placements places them on a
-    copy of the plan.  Deferral needs the fresh profile to differ, because
-    then the plan is likely stale again at the next event (an early
-    finish); after a plan that held, the next call would place the
-    deferred jobs anyway, which cost more than it saved.  cons-bf and dl
-    defer only jobs that already hold their first_planned promise: when
-    one of the jobs past the bound has none, they are all placed.
+    Every plan defers the tail of the queue, whether it is made afresh or
+    extends a kept one.  After the first job not planned for now, it places
+    jobs only up to the last one that still fits now on the plan as it
+    stands (free >= cpus over [now, now + estimate), by take's float
+    arithmetic or the gap scan's; see _window_end).  After each placement
+    that starts inside that job's window it finds the bound again, scanning
+    back, or defers the rest at once when no cpu is free now.  This is
+    exact: carving only lowers the profile, so a job that does not fit now
+    at one point never does later in the call, and take, esg and best-gap
+    all start a job now only if it fits now.  The kept plan holds the
+    placed jobs as waiting, so a call that reuses it places the deferred
+    jobs with the joined ones; last_placements places them on a copy of
+    the plan.  cons-bf and dl defer only when every job after the first
+    one not planned for now already holds its first_planned promise;
+    otherwise they place them all.
     """
 
     _repairs = False  # re-place the jobs ahead of the last started one
@@ -319,14 +318,13 @@ class Planner(Policy):
         #  of them were ahead of the last job started)
         self._kept = None
         self._holds_until = math.inf  # _place may lower it; see GapPolicy
-        # (queue, its placements, and the plan only if jobs past those were deferred)
-        self._last: tuple[tuple[Job, ...], list[float], Optional[CapacityProfile]] = (
-            (), [], None)
+        # (queue, the placements of its first jobs, the plan they were carved on)
+        self._last = ((), [], CapacityProfile(0.0, 0, {}))
 
     @property
     def last_placements(self) -> dict[int, float]:
         queue, planned, plan = self._last
-        if plan is not None:
+        if len(planned) < len(queue):
             # the jobs that call deferred, placed on a copy of its plan as a
             # plan that defers nothing would; best-gap's bound stays the kept
             # plan's
@@ -378,21 +376,28 @@ class Planner(Policy):
     def _place_starters(self, plan: CapacityProfile, jobs, now: float,
                         planned: list[float], starts: list[Job]) -> None:
         """_place_all, but after the first job not planned for now, only up
-        to the last one that fits now; the jobs after it cannot start now
-        and stay unplaced, unless _may_defer refuses them."""
-        place, window_end = self._place, self._window_end
-        k, b = 0, len(jobs)
-        while k < b:  # the jobs that lead the queue and start now
-            job = jobs[k]
+        to the last one that fits now, unless _may_defer refuses; the jobs
+        after that one cannot start now and stay unplaced."""
+        place, k = self._place, 0
+        for job in jobs:  # the jobs that lead the queue and start now
             k += 1
             t = place(plan, job)
             planned.append(math.inf if t is None else t)
             if t != now:
                 break
             starts.append(job)
+        b = len(jobs)
+        if k == b:
+            return
+        if not self._may_defer(jobs[k:]):
+            self._place_all(plan, jobs[k:], now, planned, starts)
+            return
+        window_end = self._window_end
         stop = None  # jobs[b:] do not fit now; stop ends the window of jobs[b - 1]
         while k < b:
             if stop is None:
+                if plan.free[0] <= 0:  # no job fits now
+                    break
                 stop = window_end(plan, jobs[b - 1], now)
                 if stop is None:
                     b -= 1
@@ -408,16 +413,12 @@ class Planner(Policy):
                 starts.append(job)
             if t < stop:  # the carve reached that window
                 stop = None
-        if k < len(jobs) and not self._may_defer(jobs[k:]):
-            self._place_all(plan, jobs[k:], now, planned, starts)
 
     def select(self, view: SchedulerView) -> list[Job]:
         now, queue = view.now, view.queue
         fresh = CapacityProfile.from_view(view)
-        kept = self._kept
-        stale = False
+        kept, self._kept = self._kept, None
         if kept is not None:
-            self._kept = None
             t0, base, plan, waiting, planned, earliest, ahead = kept
             if (now < t0 or earliest < now or now >= self._holds_until
                     or queue[:len(waiting)] != waiting):
@@ -425,7 +426,7 @@ class Planner(Policy):
             else:
                 base.advance(now)
                 if base.times != fresh.times or base.free != fresh.free:
-                    kept, stale = None, True
+                    kept = None
         if kept is not None and ahead:
             # the jobs ahead of the last one started were placed without it;
             # place them again, as a fresh plan would (base equals fresh)
@@ -446,12 +447,8 @@ class Planner(Policy):
             starts = [] if earliest > now else [
                 job for job, t in zip(waiting, planned) if t == now]
             tail = queue[len(waiting):]
-        if stale:
-            self._place_starters(plan, tail, now, planned, starts)
-            self._last = (queue, planned, plan if len(planned) < len(queue) else None)
-        else:
-            self._place_all(plan, tail, now, planned, starts)
-            self._last = (queue, planned, None)
+        self._place_starters(plan, tail, now, planned, starts)
+        self._last = (queue, planned, plan)
         n = len(starts)
         if plan is fresh or n > len(queue) - 2:
             return starts
@@ -485,8 +482,8 @@ class ConservativeBackfill(Planner):
 
     Each job is planned at its earliest fit, in submit order, on the plan
     that Planner keeps between calls and checks against the fresh profile;
-    a plan made because the profile changed may leave the jobs that cannot
-    start now unplaced, once each of them holds its promise.
+    a plan leaves the jobs that cannot start now unplaced, once each of
+    them holds its promise.
     Re-planning does not always move planned starts earlier, even with
     estimates that do not understate runtimes: an early finish can let a
     wide job ahead in the queue take the slot a later job was planned in,

@@ -63,6 +63,16 @@ class SynthSpec:
             raise ValueError("background_rate must be a finite number >= 0")
         if not 1.0 <= self.estimate_factor < math.inf:
             raise ValueError("estimate_factor must be a finite number >= 1")
+        if self.background_users < 1:
+            raise ValueError("background_users must be >= 1")
+        lo_c, hi_c = self.background_cpus
+        if not 1 <= lo_c <= hi_c:
+            raise ValueError("background_cpus must satisfy 1 <= min <= max, "
+                             f"got {self.background_cpus}")
+        lo_r, hi_r = self.background_runtime
+        if not 0 < lo_r <= hi_r < math.inf:
+            raise ValueError("background_runtime must be finite numbers with 0 < min <= max, "
+                             f"got {self.background_runtime}")
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,22 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {key} must be a finite number {rule}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("settings, error", [
+        ({"background_users": "0"}, "background_users must be >= 1"),
+        ({"background_cpus_min": "0"},
+         "background_cpus must satisfy 1 <= min <= max, got (0, 8)"),
+        ({"background_runtime_min": "nan", "background_runtime_max": "10"},
+         "background_runtime must be finite numbers with 0 < min <= max, got (nan, 10.0)"),
+    ])
+    def test_bad_background_exit_1(self, settings, error, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        lines = ["[workload]", "horizon = 864000", "background_rate = 0.0001"]
+        spec.write_text("\n".join(lines + [f"{k} = {v}" for k, v in settings.items()]) + "\n")
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["period", "runtime", "offset"])
     def test_non_finite_template_number_exit_1(self, key, value, tmp_path, capsys):

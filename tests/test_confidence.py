@@ -327,6 +327,13 @@ class TestUpdateThresholds:
         with pytest.raises(ValueError, match="step must be a finite number >= 0"):
             ThresholdState(step=step)
 
+    @pytest.mark.parametrize("min_gap", [-0.2, -1e-9, math.nan, math.inf])
+    def test_min_gap_must_be_finite_and_non_negative(self, min_gap):
+        # t_high 0.6 below t_low 0.7 was accepted with a gap of -0.2, and a
+        # confidence of 0.65, above t_high, was then ignored
+        with pytest.raises(ValueError, match="min_gap must be a finite number >= 0"):
+            ThresholdState(t_low=0.7, t_high=0.6, min_gap=min_gap)
+
 
 def test_feedback_csv_layout():
     pred = PredictedJob(

@@ -81,6 +81,22 @@ class TestSynthWorkload:
         with pytest.raises(ValueError):
             SynthTemplate(user_id=1, cpus=4, runtime=3600, period=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("background_users", 0),
+        ("background_users", -3),
+        ("background_cpus", (0, 8)),
+        ("background_cpus", (8, 2)),
+        ("background_runtime", (float("nan"), 10.0)),
+        ("background_runtime", (600.0, float("inf"))),
+        ("background_runtime", (0.0, 10.0)),
+        ("background_runtime", (20.0, 10.0)),
+    ])
+    def test_bad_background_rejected(self, field, value):
+        # each failed only inside synth_workload, in numpy or in Job, or
+        # raised OverflowError, without naming the field
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SynthSpec(horizon=86400.0, background_rate=1 / 3600, **{field: value})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["period", "runtime", "offset"])
     def test_non_finite_template_number_rejected(self, field, value):
