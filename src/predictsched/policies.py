@@ -47,9 +47,10 @@ class SchedulerView(NamedTuple):
     """Immutable snapshot handed to a policy at each scheduling point: a
     named tuple, so a copy with other fields is view._replace(...).
 
-    queue is never empty (the engine does not call a policy with nothing to
-    decide) and is in (submit_time, job_id) order.  running is in start
-    order, jobs started at the same instant in the order they started.
+    queue is never empty and free_cpus is at least 1: the engine does not
+    call a policy that could start nothing, and every job needs a cpu.  The
+    queue is in (submit_time, job_id) order.  running is in start order,
+    jobs started at the same instant in the order they started.
     free_cpus excludes running jobs and in-window hard reservation holds.
     hard_windows carries (start, end, cpus) for live hard reservations; a
     start at or before now means the hold is already counted in free_cpus.
@@ -263,7 +264,10 @@ class Planner(Policy):
     planned for now.  _place(profile, job) carves a job's slot out of the
     profile and gives its start, or None, carving nothing, when it fits
     nowhere; last_placements maps each queued job at the last call to the
-    start a plan of the whole queue gives it.
+    start a plan of the whole queue gives it.  The engine calls a policy
+    only with a job queued and a cpu free, so that plan is of the last
+    instant with both, and there are no placements at instants with the
+    cluster full.
 
     The plan outlives the call.  The next call places only the jobs that
     joined the queue and those it deferred (below), on the kept plan
@@ -488,7 +492,9 @@ class ConservativeBackfill(Planner):
     estimates that do not understate runtimes: an early finish can let a
     wide job ahead in the queue take the slot a later job was planned in,
     and push that job past its first plan.  first_planned keeps each job's
-    original promise for auditing.
+    original promise for auditing.  A promise is recorded at a call, and
+    the engine calls only when a cpu is free, so a job that arrives on a
+    full cluster gets its first promise at the next call with one free.
     """
 
     name = "cons-bf"
@@ -513,10 +519,11 @@ class EasyBackfill(Policy):
     """Only the queue head holds a planned start; others may jump it harmlessly.
 
     shadow_log records (now, head id, head planned start) at every decision
-    so the no-head-delay guarantee can be audited after a run.  Once the
-    head's shadow is carved, the scan ends as soon as no processor is free
-    now: free now changes only when a job starts now, and every job needs
-    a processor.
+    so the no-head-delay guarantee can be audited after a run; the engine
+    decides only when a cpu is free, so an instant with the cluster full
+    has no entry.  Once the head's shadow is carved, the scan ends as soon
+    as no processor is free now: free now changes only when a job starts
+    now, and every job needs a processor.
     """
 
     name = "easy-bf"
@@ -570,8 +577,8 @@ class GapPolicy(Planner):
     so that the float steps of the scan cannot tie sooner.  Later gaps at
     that level end later, so a now inside one is past the bound already.
     ESG takes the first suitable gap, which time passing cannot undercut,
-    and sets no bound.  The engine makes no call when the queue is empty,
-    so last_placements keeps the last non-empty plan.
+    and sets no bound.  The engine makes no call when the queue is empty
+    or no cpu is free, so last_placements keeps the plan of its last call.
     """
 
     _repairs = True

@@ -149,15 +149,17 @@ class ForecasterConfig:
 
 @dataclass
 class Telemetry:
-    """What a forecasting run did: every reservation ever made, live or
-    ended (the engine's live book drops ended ones), and one feedback event
-    per consumed or expired reservation."""
+    """What a run did.  For a forecasting run: every reservation ever made,
+    live or ended (the engine's live book drops ended ones), and one
+    feedback event per consumed or expired reservation.  For every run: the
+    policy calls the engine skipped because no cpu was free."""
 
     feedback: list[FeedbackEvent] = field(default_factory=list)
     reservations: list[Reservation] = field(default_factory=list)
     final_thresholds: Optional[ThresholdState] = None
     forecast_ticks: int = 0
     reservations_skipped: int = 0  # predictions whose window had no capacity
+    policy_calls_skipped: int = 0  # settled instants with jobs queued and no cpu free
 
 
 def score_predictions(
@@ -304,7 +306,9 @@ class _Engine:
         # heap top's (time, kind); no heap event is a submit, so equal times
         # keep the kind order.  Equal-time events settle before the policy
         # runs once for the instant: a policy must never plan against a
-        # half-freed cluster.
+        # half-freed cluster.  It runs only with a job queued and a cpu
+        # free: every job needs a whole cpu, so with none free no call can
+        # start one.
         jobs = self.workload.jobs
         n = len(jobs)
         events = self.events
@@ -336,8 +340,11 @@ class _Engine:
                 and (not events or events[0][0] > time)
             ):
                 self._policy_pending = False
-                if queue:  # an empty queue has nothing to decide
-                    self._invoke_policy()
+                if queue:
+                    if self.free_cpus > 0:
+                        self._invoke_policy()
+                    else:
+                        self.telemetry.policy_calls_skipped += 1
             self._check_accounting()
         if self.unfinished:
             raise SimulationError(f"{self.unfinished} jobs never finished")

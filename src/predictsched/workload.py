@@ -49,8 +49,12 @@ class Job:
         if t + self.runtime == t or t + self.runtime_estimate == t:
             raise ValueError(f"job {self.job_id}: runtime and estimate must not "
                              f"vanish at submit_time {t}")
-        if self.cpus < 1:
-            raise ValueError(f"job {self.job_id}: cpus must be >= 1")
+        # a whole number: fractional cpus let float rounding break the
+        # engine's accounting; nan fails >= and inf % 1 is nan
+        cpus = self.cpus
+        if not (cpus >= 1 and cpus % 1 == 0):
+            raise ValueError(f"job {self.job_id}: cpus must be a whole number >= 1, "
+                             f"got {cpus!r}")
         if self.submit_time < 0:
             raise ValueError(f"job {self.job_id}: submit_time must be >= 0")
 
@@ -83,8 +87,9 @@ class ClusterConfig:
     total_cpus: int
 
     def __post_init__(self):
-        if self.total_cpus < 1:
-            raise ValueError("total_cpus must be >= 1")
+        n = self.total_cpus  # whole, as Job.cpus is
+        if not (n >= 1 and n % 1 == 0):
+            raise ValueError(f"total_cpus must be a whole number >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from conftest import (
     make_job,
     make_workload,
     random_workloads,
+    saturated_workload,
     weekly_workload,
 )
 
@@ -468,6 +469,7 @@ class TestSchedulerViewContract:
             for view, starts in policy.calls:
                 now = view.now
                 assert view.queue, kind
+                assert view.free_cpus >= 1, kind
                 keys = [(j.submit_time, j.job_id) for j in view.queue]
                 assert keys == sorted(keys), kind
                 started_now = {j.job_id for j in starts}
@@ -612,8 +614,9 @@ class TestWindowFeasibleMatchesSweep:
 
 class ParentLoopEngine(_Engine):
     """The engine as it was before submits streamed: every submit goes onto
-    the heap up front, the loop pops them like any other event, and every
-    admission check builds its own profile."""
+    the heap up front, the loop pops them like any other event, every
+    admission check builds its own profile, and the policy is called
+    whenever jobs are queued, even with no cpu free."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -717,6 +720,26 @@ class TestStreamedSubmits:
         starts = {r.job_id: r.start for r in run(wl, ClusterConfig(8), "dl", fc).records}
         assert starts[500] == 228800.0
         assert starts[901] == 232400.0
+
+    @pytest.mark.parametrize(
+        "build, cpus", [(saturated_workload, 24), (backlog_workload, 16)]
+    )
+    def test_calls_skipped_on_a_full_cluster(self, build, cpus):
+        # the heap loop calls the policy whenever jobs are queued; the
+        # engine skips the instants with no cpu free, which changes no start
+        wl, cluster = build(), ClusterConfig(cpus)
+        for token in POLICY_TOKENS:
+            fc = ForecasterConfig() if token == "dl" else None
+            runs = []
+            for engine_class in (ParentLoopEngine, _Engine):
+                policy = RecordingPolicy(make_policy(token))
+                engine = engine_class(wl, cluster, policy, fc)
+                runs.append((trace_to_csv(engine.run()), len(policy.calls)))
+            (parent_csv, parent_calls), (csv, n_calls) = runs
+            assert csv == parent_csv, token
+            skipped = engine.telemetry.policy_calls_skipped
+            assert skipped > 0, token
+            assert parent_calls - n_calls == skipped, token
 
     @settings(max_examples=60, deadline=None)
     @given(random_workloads())

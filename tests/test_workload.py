@@ -1,9 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from predictsched import (
+    ClusterConfig,
     ParseError,
     TimeSeries,
     parse_csv,
@@ -209,6 +211,37 @@ class TestJob:
         assert dataclasses.replace(job, **{field: 1e2}).submit_time == 1e17
         with pytest.raises(ValueError, match="job 1: .* vanish at submit_time"):
             dataclasses.replace(job, **{field: 1.0})
+
+
+class TestCpuCounts:
+    """Every cpu count is a whole number >= 1: the engine's accounting is
+    exact, and a policy call with no cpu free could start nothing."""
+
+    def test_fractional_job_cpus_rejected(self):
+        with pytest.raises(ValueError, match="job 1: cpus must be a whole number >= 1, got 1.5"):
+            make_job(1, 0, 10, 1.5)
+
+    def test_fractional_workload_rejected_before_the_run(self):
+        # on 10 cpus these once made fcfs fail mid-run with a float
+        # mismatch in the capacity accounting
+        with pytest.raises(ValueError, match="job 1: cpus must be a whole number"):
+            [make_job(k + 1, k, 10, c) for k, c in enumerate((1.1, 1.2, 1.3, 2.7, 1.9))]
+
+    @pytest.mark.parametrize("cpus", [float("nan"), float("inf")])
+    def test_non_finite_job_cpus_rejected(self, cpus):
+        # nan passes a plain `cpus < 1` test, and the run never finished
+        with pytest.raises(ValueError, match=f"job 1: cpus must be a whole number >= 1, got {cpus}"):
+            make_job(1, 0, 10, cpus)
+
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), 2.5])
+    def test_bad_total_cpus_rejected(self, total):
+        with pytest.raises(ValueError, match="total_cpus must be a whole number >= 1"):
+            ClusterConfig(total)
+
+    @pytest.mark.parametrize("n", [np.int64(4), np.int32(4), np.float64(4.0), 4.0])
+    def test_integer_valued_counts_accepted(self, n):
+        assert make_job(1, 0, 10, n).cpus == 4
+        assert ClusterConfig(n).total_cpus == 4
 
 
 class TestRoundTrip:
