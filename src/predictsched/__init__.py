@@ -60,7 +60,7 @@ from .ranking import (
     render_report,
     weights_from_binary_matrix,
 )
-from .simtrace import SimTrace, TraceRecord, trace_to_csv
+from .simtrace import SimTrace, TraceRecord, TraceRecords, trace_to_csv
 from .simulator import (
     ForecasterConfig,
     SimulationError,

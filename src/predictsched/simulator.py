@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence
 
+import numpy as np
+
 from .confidence import (
     MODES,
     Decision,
@@ -44,7 +46,7 @@ from .patterns import (
     reqs_match,
 )
 from .policies import CapacityProfile, Policy, SchedulerView, make_policy
-from .simtrace import SimTrace, TraceRecord
+from .simtrace import SimTrace, TraceRecords
 from .workload import ClusterConfig, Job, Workload
 
 
@@ -349,13 +351,14 @@ class _Engine:
         if self.unfinished:
             raise SimulationError(f"{self.unfinished} jobs never finished")
         self.telemetry.final_thresholds = self.thresholds
-        # positional construction: keywords cost about twice as much on a
-        # frozen dataclass, and there is one record per job
-        starts, finishes = self.starts, self.finishes
-        records = tuple([
-            TraceRecord(j.job_id, j.submit_time, starts[j.job_id], finishes[j.job_id], j.cpus)
-            for j in jobs
-        ])
+        # the trace is columns in workload order; no record object per job
+        ids = [j.job_id for j in jobs]
+        times = np.array([
+            [j.submit_time for j in jobs],
+            list(map(self.starts.__getitem__, ids)),
+            list(map(self.finishes.__getitem__, ids)),
+        ], dtype=np.float64).T
+        records = TraceRecords(ids, times, [j.cpus for j in jobs])
         return SimTrace(records, self.cluster, self.policy.name)
 
     # -- capacity helpers ------------------------------------------------

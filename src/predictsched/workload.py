@@ -251,7 +251,7 @@ def workload_to_csv(workload: Workload) -> str:
             fmt_seconds(j.submit_time),
             fmt_seconds(j.runtime),
             fmt_seconds(j.runtime_estimate),
-            j.cpus,
+            int(j.cpus),  # whole (Job checks), so 2.0 prints as 2
         ]
         if any_deadline:
             row.append("" if j.deadline is None else fmt_seconds(j.deadline))

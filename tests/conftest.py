@@ -73,6 +73,59 @@ def random_workloads(draw, estimate_factors=ESTIMATE_FACTORS):
     return make_workload(*jobs), ClusterConfig(total)
 
 
+def reference_objectives(trace, cluster):
+    """(makespan, utilization, slowdown) by the per-record and per-instant
+    loops the array version replaced, kept as its reference.  The loop grid
+    starts at 0, so it only agrees on traces whose times are all >= 0."""
+
+    def makespan(trace):
+        if not trace.records:
+            raise ValueError("empty trace")
+        return max(r.finish for r in trace.records)
+
+    def slowdown(trace):
+        if not trace.records:
+            raise ValueError("empty trace")
+        total = 0.0
+        for r in trace.records:
+            run = r.finish - r.start
+            if run <= 0:
+                raise ValueError(f"job {r.job_id}: zero-runtime record")
+            total += (r.finish - r.submit) / run
+        return total
+
+    def resource_utilization(trace, cluster):
+        if not trace.records:
+            raise ValueError("empty trace")
+        end = makespan(trace)
+        total = cluster.total_cpus
+        times = {0.0, end}
+        for r in trace.records:
+            times.update((r.submit, r.start, r.finish))
+        grid = sorted(t for t in times if 0.0 <= t <= end)
+        active_delta, requested_delta = {}, {}
+        for r in trace.records:
+            active_delta[r.start] = active_delta.get(r.start, 0) + r.cpus
+            active_delta[r.finish] = active_delta.get(r.finish, 0) - r.cpus
+            requested_delta[r.submit] = requested_delta.get(r.submit, 0) + r.cpus
+            requested_delta[r.finish] = requested_delta.get(r.finish, 0) - r.cpus
+        weighted = covered = active = requested = 0.0
+        for i, t in enumerate(grid[:-1]):
+            active += active_delta.get(t, 0)
+            requested += requested_delta.get(t, 0)
+            width = grid[i + 1] - t
+            if width <= 0 or requested <= 0:
+                continue
+            u = active / min(total, requested)
+            weighted += u * width
+            covered += width
+        if covered == 0:
+            raise ValueError("trace has no demand intervals")
+        return 100.0 * weighted / covered
+
+    return makespan(trace), resource_utilization(trace, cluster), slowdown(trace)
+
+
 def capacity_breaches(trace: SimTrace) -> list[float]:
     """Replay a trace and return instants where running cpus exceed the cluster.
 

@@ -1,4 +1,6 @@
+import csv
 import heapq
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from predictsched import (
     ThresholdState,
     feedback_to_csv,
     make_policy,
+    objectives,
     run,
     run_with_telemetry,
     synth_workload,
@@ -26,6 +29,7 @@ from predictsched import simulator
 from predictsched.policies import Policy
 from predictsched.simtrace import SimTrace, TraceRecord
 from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
+from predictsched.workload import fmt_seconds
 
 from conftest import (
     backlog_workload,
@@ -35,6 +39,7 @@ from conftest import (
     make_job,
     make_workload,
     random_workloads,
+    reference_objectives,
     saturated_workload,
     weekly_workload,
 )
@@ -615,8 +620,9 @@ class TestWindowFeasibleMatchesSweep:
 class ParentLoopEngine(_Engine):
     """The engine as it was before submits streamed: every submit goes onto
     the heap up front, the loop pops them like any other event, every
-    admission check builds its own profile, and the policy is called
-    whenever jobs are queued, even with no cpu free."""
+    admission check builds its own profile, the policy is called whenever
+    jobs are queued, even with no cpu free, and the trace is built from one
+    `TraceRecord` per job, kept in `records`."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -644,18 +650,46 @@ class ParentLoopEngine(_Engine):
             self._check_accounting()
         assert not self.unfinished
         self.telemetry.final_thresholds = self.thresholds
-        return SimTrace(
-            tuple(
-                TraceRecord(j.job_id, j.submit_time, self.starts[j.job_id],
-                            self.finishes[j.job_id], j.cpus)
-                for j in self.workload
-            ),
-            self.cluster,
-            self.policy.name,
+        # one record object per job, as the trace once was
+        self.records = tuple(
+            TraceRecord(j.job_id, j.submit_time, self.starts[j.job_id],
+                        self.finishes[j.job_id], j.cpus)
+            for j in self.workload
         )
+        return SimTrace(self.records, self.cluster, self.policy.name)
 
     def _consider_prediction(self, pred, pattern, profile):
         super()._consider_prediction(pred, pattern, self._admission_profile(self.now))
+
+
+def records_to_csv(records):
+    """The trace CSV written record by record, each number by fmt_seconds."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["job_id", "submit", "start", "finish", "cpus"])
+    for r in records:
+        writer.writerow([r.job_id, *map(fmt_seconds, (r.submit, r.start, r.finish, r.cpus))])
+    return out.getvalue()
+
+
+class TestColumnarTrace:
+    """The engine's columns against the reference loop's per-job records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_workloads())
+    def test_every_token_matches_per_job_records(self, case):
+        wl, cluster = case
+        for token in POLICY_TOKENS:
+            fc = ForecasterConfig() if token == "dl" else None
+            trace = _Engine(wl, cluster, make_policy(token), fc).run()
+            ref = ParentLoopEngine(wl, cluster, make_policy(token), fc)
+            ref_trace = ref.run()
+            assert trace == ref_trace, token
+            assert list(trace.records) == list(ref.records), token
+            assert trace.records == ref.records, token
+            assert (objectives(trace, cluster).as_tuple()
+                    == reference_objectives(ref_trace, cluster)), token
+            assert trace_to_csv(trace) == records_to_csv(ref.records), token
 
 
 class HeapBoundEngine(_Engine):

@@ -10,7 +10,9 @@ from predictsched import (
     TimeSeries,
     parse_csv,
     parse_swf,
+    run,
     to_time_series,
+    trace_to_csv,
     workload_to_csv,
 )
 
@@ -260,6 +262,15 @@ class TestRoundTrip:
         text = "\n".join(swf_line(i, i * 100, 300 + i, 4, 4, 600) for i in range(1, 6))
         wl = parse_swf(text)
         assert parse_csv(workload_to_csv(wl)).jobs == wl.jobs
+
+    def test_whole_cpu_counts_of_any_type_round_trip(self):
+        # a float or numpy count once printed as 2.0, which parse_csv rejects
+        wl = make_workload(make_job(1, 0, 300, 2.0), make_job(2, 10, 60, np.int64(4)))
+        text = workload_to_csv(wl)
+        assert [line.split(",")[-1] for line in text.splitlines()[1:]] == ["2", "4"]
+        assert parse_csv(text).jobs == wl.jobs
+        trace_csv = trace_to_csv(run(wl, ClusterConfig(8), "fcfs"))
+        assert [line.split(",")[-1] for line in trace_csv.splitlines()[1:]] == ["2", "4"]
 
 
 class TestTimeSeries:
