@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .workload import Job
@@ -229,21 +230,28 @@ class Policy:
 class QueuePolicy(Policy):
     """Start queued jobs in order while they fit in the free processors.
 
-    order_key(job) sorts the queue; None keeps the view's queue order.  The
-    scan stops at the first job that does not fit, unless skip_blocked,
-    when it goes on past that job (first fit).
+    order_key(job) sorts the queue, descending if reverse; None keeps the
+    view's queue order.  The view's queue is in (submit_time, job_id) order
+    and the sort is stable (reverse too), so jobs with equal keys stay in
+    that order and a one-field key breaks its ties as if it went on with
+    (submit_time, job_id).  The scan stops at the first job that does not
+    fit, unless skip_blocked, when it goes on past that job (first fit).
     """
 
-    def __init__(self, name: str, order_key=None, skip_blocked: bool = False):
+    def __init__(self, name: str, order_key=None, skip_blocked: bool = False,
+                 reverse: bool = False):
         self.name = name
         self.order_key = order_key
         self.skip_blocked = skip_blocked
+        self.reverse = reverse
 
     def select(self, view: SchedulerView) -> list[Job]:
         free = view.free_cpus
         starts: list[Job] = []
         queue = view.queue
-        for job in queue if self.order_key is None else sorted(queue, key=self.order_key):
+        if self.order_key is not None:
+            queue = sorted(queue, key=self.order_key, reverse=self.reverse)
+        for job in queue:
             if job.cpus <= free:
                 starts.append(job)
                 free -= job.cpus
@@ -255,8 +263,7 @@ class QueuePolicy(Policy):
 def _edf_key(job: Job):
     # jobs without a deadline fall back to submit time, so deadline-free
     # workloads reproduce FCFS exactly
-    key = job.deadline if job.deadline is not None else job.submit_time
-    return (key, job.submit_time, job.job_id)
+    return job.deadline if job.deadline is not None else job.submit_time
 
 
 class Planner(Policy):
@@ -665,9 +672,9 @@ class DlPredictive(ConservativeBackfill):
 # skipping.  fcfs and first-fit keep the view's (submit_time, job_id) order.
 _FACTORIES = {
     "fcfs": lambda: QueuePolicy("fcfs"),
-    "lcfs": lambda: QueuePolicy("lcfs", lambda j: (-j.submit_time, j.job_id)),
-    "sjf": lambda: QueuePolicy("sjf", lambda j: (j.runtime_estimate, j.submit_time, j.job_id)),
-    "smjf": lambda: QueuePolicy("smjf", lambda j: (j.cpus, j.submit_time, j.job_id)),
+    "lcfs": lambda: QueuePolicy("lcfs", attrgetter("submit_time"), reverse=True),
+    "sjf": lambda: QueuePolicy("sjf", attrgetter("runtime_estimate")),
+    "smjf": lambda: QueuePolicy("smjf", attrgetter("cpus")),
     "edf": lambda: QueuePolicy("edf", _edf_key),
     "first-fit": lambda: QueuePolicy("first-fit", skip_blocked=True),
     "cons-bf": ConservativeBackfill,

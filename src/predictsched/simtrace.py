@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .workload import ClusterConfig
+from .workload import ClusterConfig, whole_as_int
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,9 @@ def trace_to_csv(trace: SimTrace) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["job_id", "submit", "start", "finish", "cpus"])
-    # csv prints a float as its repr, so with whole values made ints each
-    # field reads as fmt_seconds prints it; whole cpus print as integers
+    # whole cpus print as integers, as whole times do
     columns = [
-        [int(x) if x.is_integer() else x for x in column]
+        whole_as_int(column)
         for column in np.column_stack((records.times, records.cpus)).T.tolist()
     ]
     writer.writerows(zip(records.job_ids, *columns))

@@ -5,6 +5,12 @@ optional submit/runtime jitter); a Poisson background adds non-periodic
 noise from a separate pool of users.  The generator returns both the
 workload and the injected occurrences, so forecaster recall can be scored
 against exact ground truth.
+
+Each template takes its jitter draws in one array call, an occurrence's
+submit draw before its runtime draw, so the stream of draws, and with it
+every time, is the one a draw per jittered value would give.  The
+per-occurrence arithmetic stays in plain Python: a template's int runtime
+stays an int when it has no runtime jitter.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,16 +105,21 @@ def synth_workload(spec: SynthSpec, seed: int = 0) -> tuple[Workload, tuple[Occu
     """
     rng = np.random.default_rng(seed)
     truth: list[Occurrence] = []
-    pending: list[tuple[float, int, int, float, float]] = []  # submit, user, cpus, runtime, group
+    pending: list[tuple[float, int, int, float, int]] = []  # submit, user, cpus, runtime, group
 
     for tid, tpl in enumerate(spec.templates):
-        for k in range(tpl.count):
+        # one row of draws per occurrence, in the order a draw per jitter
+        # takes them: the submit draw, then the runtime draw (no jitter
+        # draws nothing)
+        draws = (tpl.submit_jitter > 0) + (tpl.runtime_jitter > 0)
+        rows = rng.uniform(-1.0, 1.0, size=(tpl.count, draws)).tolist()
+        for k, row in enumerate(rows):
             t = tpl.offset + k * tpl.period
             if tpl.submit_jitter > 0:
-                t += rng.uniform(-1.0, 1.0) * tpl.submit_jitter * tpl.period
+                t += row[0] * tpl.submit_jitter * tpl.period
             runtime = tpl.runtime
             if tpl.runtime_jitter > 0:
-                runtime *= 1.0 + rng.uniform(-1.0, 1.0) * tpl.runtime_jitter
+                runtime *= 1.0 + row[-1] * tpl.runtime_jitter
             t = max(t, 0.0)
             if t > spec.horizon:
                 continue
@@ -122,23 +134,14 @@ def synth_workload(spec: SynthSpec, seed: int = 0) -> tuple[Workload, tuple[Occu
         cpus = rng.integers(lo_c, hi_c + 1, size=n_bg)
         lo_r, hi_r = spec.background_runtime
         runtimes = rng.uniform(lo_r, hi_r, size=n_bg)
-        for i in range(n_bg):
-            pending.append(
-                (float(times[i]), int(users[i]), int(cpus[i]), float(runtimes[i]), _BG_GROUP)
-            )
+        pending.extend(zip(times.tolist(), users.tolist(), cpus.tolist(), runtimes.tolist(),
+                           [_BG_GROUP] * n_bg))
 
-    pending.sort(key=lambda p: p[0])
+    pending.sort(key=itemgetter(0))
+    factor = spec.estimate_factor
     jobs = [
-        Job(
-            job_id=i + 1,
-            user_id=user,
-            group_id=group,
-            submit_time=t,
-            runtime=runtime,
-            runtime_estimate=runtime * spec.estimate_factor,
-            cpus=cpus,
-        )
-        for i, (t, user, cpus, runtime, group) in enumerate(pending)
+        Job(i, user, group, t, runtime, runtime * factor, cpus)
+        for i, (t, user, cpus, runtime, group) in enumerate(pending, start=1)
     ]
     workload = Workload(jobs=tuple(jobs), source_name=f"synth(seed={seed})")
     return workload, tuple(truth)

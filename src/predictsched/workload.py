@@ -3,17 +3,25 @@
 A workload is an ordered stream of batch jobs (submit time plus resource
 request).  Two on-disk formats are supported: the 18-field Standard Workload
 Format used by the public parallel-workload archives, and a plain CSV with
-named columns.  Parsed workloads are normalized so the earliest submission
-is at t = 0, which makes makespans comparable across traces.
+named columns; load_workload also reads either one gzipped.  Parsed
+workloads are normalized so the earliest submission is at t = 0, which
+makes makespans comparable across traces.
+
+The parsers turn each line into one flat tuple of numbers and build each
+Job from it positionally; workload_to_csv writes the jobs column by column.
+Parse errors name the physical line of the text.
 """
 
 from __future__ import annotations
 
 import csv
+import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +67,9 @@ class Job:
             raise ValueError(f"job {self.job_id}: submit_time must be >= 0")
 
 
+_JOB_ORDER = attrgetter("submit_time", "job_id")
+
+
 @dataclass(frozen=True)
 class Workload:
     """Jobs sorted by (submit_time, job_id) with unique ids."""
@@ -68,11 +79,10 @@ class Workload:
     dropped: int = 0  # records discarded during parsing (nonpositive runtime/cpus)
 
     def __post_init__(self):
-        keys = [(j.submit_time, j.job_id) for j in self.jobs]
+        keys = list(map(_JOB_ORDER, self.jobs))
         if keys != sorted(keys):
             raise ValueError("jobs must be sorted by (submit_time, job_id)")
-        ids = [j.job_id for j in self.jobs]
-        if len(set(ids)) != len(ids):
+        if len({job_id for _submit, job_id in keys}) != len(keys):
             raise ParseError("duplicate id in workload")
 
     def __len__(self) -> int:
@@ -110,35 +120,30 @@ class TimeSeries:
         return np.asarray(self.values, dtype=float)
 
 
-def _sorted_jobs(jobs: Iterable[Job]) -> tuple[Job, ...]:
-    return tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id)))
-
-
-def _build_workload(raw: list[tuple[int, dict]], source: str) -> Workload:
-    """Jobs from (line number, Job fields) records, shifted so the earliest
-    kept submit is at 0.  Records with nonpositive runtime or cpus are
-    dropped and counted; a kept record whose id a kept record already has,
-    or that Job rejects, is a ParseError naming its line."""
-    kept = [(lineno, r) for lineno, r in raw if r["runtime"] > 0 and r["cpus"] > 0]
+def _build_workload(raw: list[tuple], source: str) -> Workload:
+    """Jobs from (line number, job_id, user_id, group_id, submit_time,
+    runtime, runtime_estimate, cpus, deadline) records, shifted so the
+    earliest kept submit is at 0.  Records with nonpositive runtime or cpus
+    are dropped and counted; a kept record whose id a kept record already
+    has, or that Job rejects, is a ParseError naming its line."""
+    kept = [r for r in raw if r[5] > 0 and r[7] > 0]
     if not kept:
         raise ParseError("empty workload")
     seen: set[int] = set()
-    for lineno, r in kept:
-        if r["job_id"] in seen:
-            raise ParseError(f"line {lineno}: duplicate id {r['job_id']}")
-        seen.add(r["job_id"])
-    t0 = min(r["submit_time"] for _lineno, r in kept)
+    for r in kept:
+        if r[1] in seen:
+            raise ParseError(f"line {r[0]}: duplicate id {r[1]}")
+        seen.add(r[1])
+    t0 = min(r[4] for r in kept)
     jobs = []
-    for lineno, r in kept:
-        r["submit_time"] -= t0
-        if r["deadline"] is not None:
-            r["deadline"] -= t0
+    for lineno, job_id, user_id, group_id, submit, runtime, estimate, cpus, deadline in kept:
         try:
-            jobs.append(Job(**r))
+            jobs.append(Job(job_id, user_id, group_id, submit - t0, runtime, estimate, cpus,
+                            None if deadline is None else deadline - t0))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-    return Workload(jobs=_sorted_jobs(jobs), source_name=source,
-                    dropped=len(raw) - len(kept))
+    jobs.sort(key=_JOB_ORDER)
+    return Workload(jobs=tuple(jobs), source_name=source, dropped=len(raw) - len(kept))
 
 
 # SWF data lines: 18 whitespace-separated fields.
@@ -161,18 +166,17 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
     nonpositive runtime or processor count is dropped and counted, and an id
     that a kept record already has is a ParseError.
     """
-    raw: list[tuple[int, dict]] = []
+    raw: list[tuple] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(";"):
+        fields = line.split()
+        if not fields or fields[0][0] == ";":
             continue
-        fields = stripped.split()
         if len(fields) != _SWF_FIELDS:
             raise ParseError(
                 f"line {lineno}: expected {_SWF_FIELDS} fields, got {len(fields)}"
             )
         try:
-            vals = [float(f) for f in fields]
+            vals = list(map(float, fields))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric field") from None
         if not math.isfinite(sum(vals)):
@@ -183,11 +187,9 @@ def parse_swf(text: str, source_name: str = "swf") -> Workload:
             name, value = next((n, g) for n, i, g in zip(_SWF_INT_NAMES, ints, given) if i != g)
             raise ParseError(f"line {lineno}: {name} must be an integer, got {value!r}")
         runtime, req_time = vals[3], vals[8]
-        raw.append((lineno, dict(
-            job_id=job_id, user_id=user_id, group_id=group_id, submit_time=vals[1],
-            runtime=runtime, runtime_estimate=req_time if req_time > 0 else runtime,
-            cpus=requested if requested > 0 else alloc, deadline=None,
-        )))
+        raw.append((lineno, job_id, user_id, group_id, vals[1], runtime,
+                    req_time if req_time > 0 else runtime,
+                    requested if requested > 0 else alloc, None))
     return _build_workload(raw, source_name)
 
 
@@ -204,72 +206,90 @@ _CSV_COLUMNS = (
 
 def parse_csv(text: str, source_name: str = "csv") -> Workload:
     """Parse the package's CSV workload format (optional trailing deadline
-    column); records are dropped and ids checked as in parse_swf."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    column); records are dropped and ids checked as in parse_swf.
+
+    Columns are found by header name, in any order; a name given twice
+    reads its last column.  Blank lines are skipped, fields past the header
+    are ignored, a missing field is non-numeric (a missing or blank deadline
+    is none), and errors name the physical line the row ends on.
+    """
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise ParseError("empty workload")
+    at = {name: k for k, name in enumerate(header)}  # the last of a repeated name
     for col in _CSV_COLUMNS:
-        if col not in reader.fieldnames:
+        if col not in at:
             raise ParseError(f"missing column '{col}'")
-    has_deadline = "deadline" in reader.fieldnames
-    raw: list[tuple[int, dict]] = []
-    for lineno, row in enumerate(reader, start=2):
+    get = itemgetter(*(at[col] for col in _CSV_COLUMNS))
+    deadline_at = at.get("deadline")
+    raw: list[tuple] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < len(header):
+            row += [None] * (len(header) - len(row))
+        lineno = reader.line_num
+        deadline = None if deadline_at is None else row[deadline_at]
         try:
-            rec = dict(
-                job_id=int(row["job_id"]),
-                user_id=int(row["user_id"]),
-                group_id=int(row["group_id"]),
-                submit_time=float(row["submit_time"]),
-                runtime=float(row["runtime"]),
-                runtime_estimate=float(row["runtime_estimate"]),
-                cpus=int(row["cpus"]),
-                deadline=float(row["deadline"])
-                if has_deadline and row.get("deadline") not in (None, "")
-                else None,
-            )
+            job_id, user_id, group_id, submit, runtime, estimate, cpus = get(row)
+            rec = (lineno, int(job_id), int(user_id), int(group_id), float(submit),
+                   float(runtime), float(estimate), int(cpus),
+                   float(deadline) if deadline else None)
         except (TypeError, ValueError):
             raise ParseError(f"line {lineno}: non-numeric field") from None
-        times = rec["submit_time"] + rec["runtime"] + rec["runtime_estimate"]
-        if not math.isfinite(times + (rec["deadline"] or 0.0)):
+        if not math.isfinite(rec[4] + rec[5] + rec[6] + (rec[8] or 0.0)):
             raise ParseError(f"line {lineno}: non-finite field")
-        raw.append((lineno, rec))
+        raw.append(rec)
     return _build_workload(raw, source_name)
+
+
+def whole_as_int(column) -> list:
+    """The column with each whole number made an int and every other one a
+    float (None stays None).  csv writes an int as its digits, a float as
+    its repr and None as an empty field, so a time goes out as whole
+    seconds when it is whole and as its exact float repr otherwise."""
+    if set(map(type, column)) <= {float}:  # the common case, in C
+        return [int(x) if x.is_integer() else x for x in column]
+    return [x if x is None else i if x == (i := int(x)) else float(x) for x in column]
 
 
 def workload_to_csv(workload: Workload) -> str:
     """Serialize to the canonical CSV format (round-trips through parse_csv)."""
-    any_deadline = any(j.deadline is not None for j in workload.jobs)
+    jobs = workload.jobs
+    deadlines = [j.deadline for j in jobs]
+    any_deadline = deadlines.count(None) < len(deadlines)
     out = io.StringIO()
     writer = csv.writer(out)
-    header = list(_CSV_COLUMNS) + (["deadline"] if any_deadline else [])
-    writer.writerow(header)
-    for j in workload.jobs:
-        row = [
-            j.job_id,
-            j.user_id,
-            j.group_id,
-            fmt_seconds(j.submit_time),
-            fmt_seconds(j.runtime),
-            fmt_seconds(j.runtime_estimate),
-            int(j.cpus),  # whole (Job checks), so 2.0 prints as 2
-        ]
-        if any_deadline:
-            row.append("" if j.deadline is None else fmt_seconds(j.deadline))
-        writer.writerow(row)
+    writer.writerow(list(_CSV_COLUMNS) + (["deadline"] if any_deadline else []))
+    columns = [
+        [j.job_id for j in jobs],
+        [j.user_id for j in jobs],
+        [j.group_id for j in jobs],
+        whole_as_int([j.submit_time for j in jobs]),
+        whole_as_int([j.runtime for j in jobs]),
+        whole_as_int([j.runtime_estimate for j in jobs]),
+        [int(j.cpus) for j in jobs],  # whole (Job checks), so 2.0 prints as 2
+    ]
+    if any_deadline:
+        columns.append(whole_as_int(deadlines))
+    writer.writerows(zip(*columns))
     return out.getvalue()
 
 
-def fmt_seconds(x: float) -> str:
-    # integral seconds stay integral so serialized traces stay diffable
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
-
-
 def load_workload(path: str, fmt: Optional[str] = None) -> Workload:
-    """Read a workload file, inferring the format from the extension unless given."""
+    """Read a workload file, inferring the format from the extension unless
+    given.  A name ending in .gz is read through gzip and its format
+    inferred from the name without .gz; a UTF-8 byte order mark is skipped."""
+    name = str(path).lower()
+    zipped = name.endswith(".gz")
     if fmt is None:
-        fmt = "swf" if str(path).lower().endswith(".swf") else "csv"
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        fmt = "swf" if name.removesuffix(".gz").endswith(".swf") else "csv"
+    try:
+        with (gzip.open if zipped else open)(path, "rt", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"{path}: not a readable gzip file ({exc})") from None
     if fmt == "swf":
         return parse_swf(text, source_name=str(path))
     if fmt == "csv":

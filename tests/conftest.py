@@ -1,20 +1,26 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from predictsched import (
     ClusterConfig,
     Job,
+    ParseError,
     SimTrace,
     SynthSpec,
     SynthTemplate,
     Workload,
     synth_workload,
 )
+from predictsched.synth import Occurrence
 
 DAY = 86400.0
 
@@ -124,6 +130,162 @@ def reference_objectives(trace, cluster):
         return 100.0 * weighted / covered
 
     return makespan(trace), resource_utilization(trace, cluster), slowdown(trace)
+
+
+def fmt_seconds(x: float) -> str:
+    """A number as the reference writers print it: whole values as ints."""
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+
+# The ingest functions as they were before they went columnar: a scalar
+# draw per jitter, csv.DictReader rows, dict records built into Job(**r),
+# a fmt_seconds call per written field.  Kept as the references the
+# columnar versions must match byte for byte; only reference_parse_csv's
+# line numbers differ, as it counts rows where parse_csv names lines.
+
+def _reference_build_workload(raw, source):
+    kept = [(lineno, r) for lineno, r in raw if r["runtime"] > 0 and r["cpus"] > 0]
+    if not kept:
+        raise ParseError("empty workload")
+    seen = set()
+    for lineno, r in kept:
+        if r["job_id"] in seen:
+            raise ParseError(f"line {lineno}: duplicate id {r['job_id']}")
+        seen.add(r["job_id"])
+    t0 = min(r["submit_time"] for _lineno, r in kept)
+    jobs = []
+    for lineno, r in kept:
+        r["submit_time"] -= t0
+        if r["deadline"] is not None:
+            r["deadline"] -= t0
+        try:
+            jobs.append(Job(**r))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return Workload(jobs=tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id))),
+                    source_name=source, dropped=len(raw) - len(kept))
+
+
+_SWF_INT_NAMES = ("job id", "allocated processors", "requested processors",
+                  "user id", "group id")
+
+
+def reference_parse_swf(text, source_name="swf"):
+    raw = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith(";"):
+            continue
+        fields = stripped.split()
+        if len(fields) != 18:
+            raise ParseError(f"line {lineno}: expected 18 fields, got {len(fields)}")
+        try:
+            vals = [float(f) for f in fields]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric field") from None
+        if not math.isfinite(sum(vals)):
+            raise ParseError(f"line {lineno}: non-finite field")
+        given = (vals[0], vals[4], vals[7], vals[11], vals[12])
+        job_id, alloc, requested, user_id, group_id = ints = tuple(map(int, given))
+        if ints != given:
+            name, value = next((n, g) for n, i, g in zip(_SWF_INT_NAMES, ints, given) if i != g)
+            raise ParseError(f"line {lineno}: {name} must be an integer, got {value!r}")
+        runtime, req_time = vals[3], vals[8]
+        raw.append((lineno, dict(
+            job_id=job_id, user_id=user_id, group_id=group_id, submit_time=vals[1],
+            runtime=runtime, runtime_estimate=req_time if req_time > 0 else runtime,
+            cpus=requested if requested > 0 else alloc, deadline=None,
+        )))
+    return _reference_build_workload(raw, source_name)
+
+
+CSV_COLUMNS = ("job_id", "user_id", "group_id", "submit_time", "runtime",
+               "runtime_estimate", "cpus")
+
+
+def reference_parse_csv(text, source_name="csv"):
+    """DictReader rows; errors name the row's place among the non-blank
+    rows (header is 1), not its physical line."""
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None:
+        raise ParseError("empty workload")
+    for col in CSV_COLUMNS:
+        if col not in reader.fieldnames:
+            raise ParseError(f"missing column '{col}'")
+    has_deadline = "deadline" in reader.fieldnames
+    raw = []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            rec = dict(
+                job_id=int(row["job_id"]),
+                user_id=int(row["user_id"]),
+                group_id=int(row["group_id"]),
+                submit_time=float(row["submit_time"]),
+                runtime=float(row["runtime"]),
+                runtime_estimate=float(row["runtime_estimate"]),
+                cpus=int(row["cpus"]),
+                deadline=float(row["deadline"])
+                if has_deadline and row.get("deadline") not in (None, "")
+                else None,
+            )
+        except (TypeError, ValueError):
+            raise ParseError(f"line {lineno}: non-numeric field") from None
+        times = rec["submit_time"] + rec["runtime"] + rec["runtime_estimate"]
+        if not math.isfinite(times + (rec["deadline"] or 0.0)):
+            raise ParseError(f"line {lineno}: non-finite field")
+        raw.append((lineno, rec))
+    return _reference_build_workload(raw, source_name)
+
+
+def reference_workload_to_csv(workload):
+    any_deadline = any(j.deadline is not None for j in workload.jobs)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(list(CSV_COLUMNS) + (["deadline"] if any_deadline else []))
+    for j in workload.jobs:
+        row = [j.job_id, j.user_id, j.group_id, fmt_seconds(j.submit_time),
+               fmt_seconds(j.runtime), fmt_seconds(j.runtime_estimate), int(j.cpus)]
+        if any_deadline:
+            row.append("" if j.deadline is None else fmt_seconds(j.deadline))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def reference_synth_workload(spec, seed=0):
+    rng = np.random.default_rng(seed)
+    truth, pending = [], []
+    for tid, tpl in enumerate(spec.templates):
+        for k in range(tpl.count):
+            t = tpl.offset + k * tpl.period
+            if tpl.submit_jitter > 0:
+                t += rng.uniform(-1.0, 1.0) * tpl.submit_jitter * tpl.period
+            runtime = tpl.runtime
+            if tpl.runtime_jitter > 0:
+                runtime *= 1.0 + rng.uniform(-1.0, 1.0) * tpl.runtime_jitter
+            t = max(t, 0.0)
+            if t > spec.horizon:
+                continue
+            truth.append(Occurrence(tid, k, t, tpl.cpus, runtime))
+            pending.append((t, tpl.user_id, tpl.cpus, runtime, 0))
+    if spec.background_rate > 0:
+        n_bg = int(rng.poisson(spec.background_rate * spec.horizon))
+        times = np.sort(rng.uniform(0.0, spec.horizon, size=n_bg))
+        users = rng.integers(0, spec.background_users, size=n_bg) + 1000
+        lo_c, hi_c = spec.background_cpus
+        cpus = rng.integers(lo_c, hi_c + 1, size=n_bg)
+        lo_r, hi_r = spec.background_runtime
+        runtimes = rng.uniform(lo_r, hi_r, size=n_bg)
+        for i in range(n_bg):
+            pending.append(
+                (float(times[i]), int(users[i]), int(cpus[i]), float(runtimes[i]), 99)
+            )
+    pending.sort(key=lambda p: p[0])
+    jobs = [
+        Job(job_id=i + 1, user_id=user, group_id=group, submit_time=t, runtime=runtime,
+            runtime_estimate=runtime * spec.estimate_factor, cpus=cpus)
+        for i, (t, user, cpus, runtime, group) in enumerate(pending)
+    ]
+    return Workload(jobs=tuple(jobs), source_name=f"synth(seed={seed})"), tuple(truth)
 
 
 def capacity_breaches(trace: SimTrace) -> list[float]:

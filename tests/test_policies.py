@@ -755,6 +755,32 @@ class TestEveryToken:
             assert all(r.start >= submits[r.job_id] for r in trace.records), token
 
 
+@st.composite
+def tied_queues(draw):
+    """A queue in the view's (submit_time, job_id) order whose jobs share
+    submit times, estimates, cpus and deadlines, ids drawn out of order."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = draw(st.permutations(range(1, n + 1)))
+    jobs = [
+        make_job(job_id, draw(st.sampled_from([0.0, 5.0])), runtime,
+                 draw(st.integers(min_value=1, max_value=3)), estimate=runtime,
+                 deadline=draw(st.sampled_from([None, 5.0, 9.0])))
+        for job_id, runtime in zip(ids, draw(st.lists(
+            st.sampled_from([2.0, 4.0]), min_size=n, max_size=n)))
+    ]
+    queue = tuple(sorted(jobs, key=lambda j: (j.submit_time, j.job_id)))
+    return view(now=5.0, total=8, free=draw(st.integers(min_value=1, max_value=8)),
+                queue=queue)
+
+
+class TestQueueTies:
+    @settings(max_examples=200, deadline=None)
+    @given(tied_queues())
+    def test_ties_keep_submit_then_id_order(self, v):
+        for token in QUEUE_REFERENCE:
+            assert make_policy(token).select(v) == reference_starts(token, v), token
+
+
 class WithHardWindows(Policy):
     """Hands the wrapped policy views that also carry the given hard windows
     (made, start, end, cpus), each live from made until its end, with the

@@ -29,12 +29,12 @@ from predictsched import simulator
 from predictsched.policies import Policy
 from predictsched.simtrace import SimTrace, TraceRecord
 from predictsched.simulator import Reservation, ResState, _Engine, match_arrival
-from predictsched.workload import fmt_seconds
 
 from conftest import (
     backlog_workload,
     capacity_breaches,
     enumerate_instances,
+    fmt_seconds,
     lifecycle_workload,
     make_job,
     make_workload,
