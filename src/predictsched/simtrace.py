@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .workload import ClusterConfig, whole_as_int
+from .workload import ClusterConfig
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,10 @@ def trace_to_csv(trace: SimTrace) -> str:
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["job_id", "submit", "start", "finish", "cpus"])
-    # whole cpus print as integers, as whole times do
+    # csv prints a float as its repr, so with whole values made ints each
+    # field reads as fmt_seconds prints it; whole cpus print as integers
     columns = [
-        whole_as_int(column)
+        [int(x) if x.is_integer() else x for x in column]
         for column in np.column_stack((records.times, records.cpus)).T.tolist()
     ]
     writer.writerows(zip(records.job_ids, *columns))

@@ -7,8 +7,6 @@ named columns; load_workload also reads either one gzipped.  Parsed
 workloads are normalized so the earliest submission is at t = 0, which
 makes makespans comparable across traces.
 
-The parsers turn each line into one flat tuple of numbers and build each
-Job from it positionally; workload_to_csv writes the jobs column by column.
 Parse errors name the physical line of the text.
 """
 
@@ -244,13 +242,12 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
     return _build_workload(raw, source_name)
 
 
-def whole_as_int(column) -> list:
+def _whole_as_int(column) -> list:
     """The column with each whole number made an int and every other one a
     float (None stays None).  csv writes an int as its digits, a float as
     its repr and None as an empty field, so a time goes out as whole
-    seconds when it is whole and as its exact float repr otherwise."""
-    if set(map(type, column)) <= {float}:  # the common case, in C
-        return [int(x) if x.is_integer() else x for x in column]
+    seconds when it is whole and as its exact float repr otherwise.  Job
+    holds only finite times, so int() cannot overflow here."""
     return [x if x is None else i if x == (i := int(x)) else float(x) for x in column]
 
 
@@ -266,13 +263,13 @@ def workload_to_csv(workload: Workload) -> str:
         [j.job_id for j in jobs],
         [j.user_id for j in jobs],
         [j.group_id for j in jobs],
-        whole_as_int([j.submit_time for j in jobs]),
-        whole_as_int([j.runtime for j in jobs]),
-        whole_as_int([j.runtime_estimate for j in jobs]),
+        _whole_as_int([j.submit_time for j in jobs]),
+        _whole_as_int([j.runtime for j in jobs]),
+        _whole_as_int([j.runtime_estimate for j in jobs]),
         [int(j.cpus) for j in jobs],  # whole (Job checks), so 2.0 prints as 2
     ]
     if any_deadline:
-        columns.append(whole_as_int(deadlines))
+        columns.append(_whole_as_int(deadlines))
     writer.writerows(zip(*columns))
     return out.getvalue()
 
