@@ -78,7 +78,11 @@ class CapacityProfile:
     invariants: times[0] == now, because nothing is added at or before it,
     and times is strictly increasing, so the step after index j is j + 1.
     Neighbouring steps may share a level; segments() merges them.
+    holds_until bounds the reuse of a plan carved here (Planner, condition
+    5); only BestGap's _place lowers it, so a copy starts unbounded.
     """
+
+    holds_until = math.inf
 
     def __init__(self, now: float, free_now: float, deltas: dict[float, float]):
         self.times: list[float] = [now]
@@ -284,8 +288,8 @@ class Planner(Policy):
       3. the fresh profile has exactly the steps of that call's fresh profile,
          with the jobs it started carved out, advanced to now;
       4. no kept placement is before now;
-      5. now is before the plan's holds-until time, which _place may lower
-         (only BestGap does; see GapPolicy);
+      5. now is before the kept plan profile's holds_until, which _place
+         lowers on the profile it carves (only BestGap's does; see GapPolicy);
       6. if the policy _repairs (the gap policies) and that call started a
          job from behind a waiting one: the waiting jobs ahead of the last
          job started, placed again in order on the kept fresh profile
@@ -316,9 +320,9 @@ class Planner(Policy):
     all start a job now only if it fits now.  The kept plan holds the
     placed jobs as waiting, so a call that reuses it places the deferred
     jobs with the joined ones; last_placements places them on a copy of
-    the plan.  cons-bf and dl defer only when every job after the first
-    one not planned for now already holds its first_planned promise;
-    otherwise they place them all.
+    the plan, a pure read.  cons-bf and dl defer only when every job after
+    the first one not planned for now already holds its first_planned
+    promise (so that read records none); otherwise they place them all.
     """
 
     _repairs = False  # re-place the jobs ahead of the last started one
@@ -328,7 +332,6 @@ class Planner(Policy):
         #  waiting jobs, their placements, the earliest of those, how many
         #  of them were ahead of the last job started)
         self._kept = None
-        self._holds_until = math.inf  # _place may lower it; see GapPolicy
         # (queue, the placements of its first jobs, the plan they were carved on)
         self._last = ((), [], CapacityProfile(0.0, 0, {}))
 
@@ -337,12 +340,9 @@ class Planner(Policy):
         queue, planned, plan = self._last
         if len(planned) < len(queue):
             # the jobs that call deferred, placed on a copy of its plan as a
-            # plan that defers nothing would; best-gap's bound stays the kept
-            # plan's
-            holds_until = self._holds_until
+            # plan that defers nothing would
             planned = planned[:]
             self._place_all(plan.copy(), queue[len(planned):], plan.times[0], planned, [])
-            self._holds_until = holds_until
         return {job.job_id: t for job, t in zip(queue, planned) if t != math.inf}
 
     def _place(self, profile: CapacityProfile, job: Job) -> Optional[float]:
@@ -431,7 +431,7 @@ class Planner(Policy):
         kept, self._kept = self._kept, None
         if kept is not None:
             t0, base, plan, waiting, planned, earliest, ahead = kept
-            if (now < t0 or earliest < now or now >= self._holds_until
+            if (now < t0 or earliest < now or now >= plan.holds_until
                     or queue[:len(waiting)] != waiting):
                 kept = None
             else:
@@ -441,16 +441,14 @@ class Planner(Policy):
         if kept is not None and ahead:
             # the jobs ahead of the last one started were placed without it;
             # place them again, as a fresh plan would (base equals fresh)
-            holds_until, self._holds_until = self._holds_until, math.inf
             again, starts = [], []
             self._place_all(base, waiting[:ahead], now, again, starts)
             if again == planned[:ahead]:
                 # a lower bound only brings a re-plan earlier
-                self._holds_until = min(holds_until, self._holds_until)
+                plan.holds_until = min(plan.holds_until, base.holds_until)
             else:  # one moved: the fresh plan goes on from there
                 kept, plan, planned, tail = None, base, again, queue[ahead:]
         elif kept is None:
-            self._holds_until = math.inf
             plan = fresh.copy() if len(queue) > 1 else fresh
             planned, starts, tail = [], [], queue
         if kept is not None:
@@ -461,14 +459,12 @@ class Planner(Policy):
         self._place_starters(plan, tail, now, planned, starts)
         self._last = (queue, planned, plan)
         n = len(starts)
-        if plan is fresh or n > len(queue) - 2:
+        if n > len(queue) - 2:  # also when plan is fresh: a one-job queue
             return starts
         ahead = 0
-        placed = len(planned)  # short of the queue when jobs were deferred
-        if n == 0:
-            waiting = queue if placed == len(queue) else queue[:placed]
-        elif starts[-1] is queue[n - 1]:  # the started jobs lead the queue
-            waiting, planned = queue[n:placed], planned[n:]
+        if n == 0 or starts[-1] is queue[n - 1]:  # the started jobs lead the queue
+            # no copy when nothing started (about 1 % of esg's time on backlog)
+            waiting, planned = queue[n:len(planned)], planned[n:] if n else planned
         else:
             # the jobs left waiting, their starts, and how many of them were
             # ahead of the last job started, in one pass
@@ -571,21 +567,22 @@ class GapPolicy(Planner):
     started from behind a waiting one can split or join that job's gap, so
     after such a call both place the waiting jobs ahead of the last one
     started again before they reuse their kept plan (see Planner, condition
-    6), and BestGap bounds holds-until afresh for those placements.
+    6); a BestGap plan kept that way takes the lower of its bound and theirs.
 
     With the profile unchanged, one gap differs between BestGap's kept plan
     and a fresh one: the gap holding now, cut to start at now, with its
     level and end kept.  Gaps that ended vanish, which cannot change a
     choice.  The cut gap displaces a job's chosen gap g only if it is at g's
     level, qualified when the job was placed, and is now no longer than g
-    (the earlier gap wins a tie).  So each placement bounds the plan's
-    holds-until time (see Planner) by the end of the first qualifying gap
-    at g's level, when that gap precedes g, minus g's length, rounded down
-    so that the float steps of the scan cannot tie sooner.  Later gaps at
-    that level end later, so a now inside one is past the bound already.
-    ESG takes the first suitable gap, which time passing cannot undercut,
-    and sets no bound.  The engine makes no call when the queue is empty
-    or no cpu is free, so last_placements keeps the plan of its last call.
+    (the earlier gap wins a tie).  So each placement bounds the carved
+    profile's holds_until (see Planner, condition 5) by the end of the first
+    qualifying gap at g's level, when that gap precedes g, minus g's length,
+    rounded down so that the float steps of the scan cannot tie sooner.
+    Later gaps at that level end later, so a now inside one is past the
+    bound already.  ESG takes the first suitable gap, which time passing
+    cannot undercut, and sets no bound.  The engine makes no call when the
+    queue is empty or no cpu is free, so last_placements keeps the plan of
+    its last call.
     """
 
     _repairs = True
@@ -642,7 +639,7 @@ class GapPolicy(Planner):
             # step up in each sum keeps the bound at or below that now
             up = math.nextafter
             tie = first_end - up(estimate + up(best_len, math.inf), math.inf)
-            self._holds_until = min(self._holds_until, tie)
+            profile.holds_until = min(profile.holds_until, tie)
         return best_start
 
 

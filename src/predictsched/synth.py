@@ -174,9 +174,26 @@ def parse_synth_spec(text: str) -> SynthSpec:
         runtime = 3600
         period = 86400
         count = 10
+
+    horizon and each template's user_id, cpus, runtime and period are
+    required; a missing one, or text configparser cannot read, is a
+    ValueError.
     """
     parser = configparser.ConfigParser()
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+        return _spec_from(parser)
+    except configparser.Error as exc:
+        raise ValueError(f"synthetic spec: {' '.join(str(exc).split())}") from None
+
+
+def _required(section, key: str, kind):
+    if key not in section:
+        raise ValueError(f"synthetic spec: [{section.name}] has no {key}")
+    return kind(section[key])
+
+
+def _spec_from(parser: configparser.ConfigParser) -> SynthSpec:
     if "workload" not in parser:
         raise ValueError("synthetic spec needs a [workload] section")
     w = parser["workload"]
@@ -189,10 +206,10 @@ def parse_synth_spec(text: str) -> SynthSpec:
         s = parser[section]
         templates.append(
             SynthTemplate(
-                user_id=s.getint("user_id"),
-                cpus=s.getint("cpus"),
-                runtime=s.getfloat("runtime"),
-                period=s.getfloat("period"),
+                user_id=_required(s, "user_id", int),
+                cpus=_required(s, "cpus", int),
+                runtime=_required(s, "runtime", float),
+                period=_required(s, "period", float),
                 offset=s.getfloat("offset", tpl["offset"]),
                 count=s.getint("count", tpl["count"]),
                 submit_jitter=s.getfloat("submit_jitter", tpl["submit_jitter"]),
@@ -201,7 +218,7 @@ def parse_synth_spec(text: str) -> SynthSpec:
         )
     cpus, runtime = spec["background_cpus"], spec["background_runtime"]
     return SynthSpec(
-        horizon=w.getfloat("horizon"),
+        horizon=_required(w, "horizon", float),
         templates=tuple(templates),
         background_rate=w.getfloat("background_rate", spec["background_rate"]),
         background_users=w.getint("background_users", spec["background_users"]),

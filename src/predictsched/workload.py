@@ -202,6 +202,15 @@ _CSV_COLUMNS = (
 )
 
 
+def _csv_rows(reader):
+    """The reader's rows, with a csv.Error (a lone carriage return, an
+    oversized field) made a ParseError naming the line it was seen on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(text: str, source_name: str = "csv") -> Workload:
     """Parse the package's CSV workload format (optional trailing deadline
     column); records are dropped and ids checked as in parse_swf.
@@ -212,7 +221,8 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
     is none), and errors name the physical line the row ends on.
     """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = _csv_rows(reader)
+    header = next(rows, None)
     if header is None:
         raise ParseError("empty workload")
     at = {name: k for k, name in enumerate(header)}  # the last of a repeated name
@@ -222,7 +232,7 @@ def parse_csv(text: str, source_name: str = "csv") -> Workload:
     get = itemgetter(*(at[col] for col in _CSV_COLUMNS))
     deadline_at = at.get("deadline")
     raw: list[tuple] = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         if len(row) < len(header):

@@ -192,6 +192,15 @@ class TestSimulate:
         assert outs["DL"] == outs["dl"]
         assert len(outs["dl"][1].splitlines()) > 1  # feedback rows past the header
 
+    def test_oversized_csv_field_exit_1(self, tmp_path, capsys):
+        # csv's field limit used to escape as a _csv.Error traceback
+        big = tmp_path / "big.csv"
+        big.write_text(workload_to_csv(make_workload(make_job(1, 0, 10, 1)))
+                       + "2,1,1,0,10,10," + "9" * 200_000 + "\n")
+        assert main(["simulate", "--workload", str(big), "--cpus", "4",
+                     "--policy", "fcfs"]) == 1
+        assert capsys.readouterr().err == "error: line 3: field larger than field limit (131072)\n"
+
     def test_unknown_policy_exit_2(self, two_job_csv, capsys):
         rc = main(
             ["simulate", "--workload", str(two_job_csv), "--cpus", "1", "--policy", "bogus"]
@@ -383,6 +392,31 @@ class TestSynth:
         out = tmp_path / "wl.csv"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: template {key} must be a finite number{rule}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, section", [
+        ("user_id", "template.daily"), ("cpus", "template.daily"),
+        ("runtime", "template.daily"), ("period", "template.daily"),
+        ("horizon", "workload"),
+    ])
+    def test_missing_required_key_exit_1(self, key, section, tmp_path, capsys):
+        # a missing user_id used to write rows with a blank user field
+        spec = tmp_path / "spec.ini"
+        lines = [line for line in SPEC_TEXT.splitlines() if not line.startswith(f"{key} =")]
+        spec.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: synthetic spec: [{section}] has no {key}\n"
+        assert not out.exists()
+
+    def test_no_section_header_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.ini"
+        spec.write_text("horizon = 864000\n")
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic spec: File contains no section headers.")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_env_seed_overrides(self, tmp_path, monkeypatch):

@@ -136,6 +136,17 @@ class TestParseCsv:
         # the reference counted rows
         assert outcome(reference_parse_csv, text) == "line 3: duplicate id 1"
 
+    def test_lone_carriage_returns_are_a_parse_error(self):
+        # csv reads a string split at newlines only, so the \r ends no row
+        text = ",".join(CSV_COLUMNS) + "\r1,1,1,0,10,10,1\r"
+        message = outcome(parse_csv, text)
+        assert message.startswith("line 1: new-line character seen in unquoted field")
+
+    def test_oversized_field_is_a_parse_error(self):
+        header = ",".join(CSV_COLUMNS)
+        text = f"{header}\n1,1,1,0,10,10,1\n2,1,1,0,10,10,{'9' * 200_000}\n"
+        assert outcome(parse_csv, text) == "line 3: field larger than field limit (131072)"
+
     def test_column_named_twice_reads_the_last(self):
         header = "job_id,user_id,group_id,submit_time,runtime,runtime,runtime_estimate,cpus"
         wl = parse_csv(f"{header}\n1,1,1,0,99,10,10,1\n")
@@ -264,7 +275,9 @@ class TestLoadWorkload:
         path.write_bytes(b"\xef\xbb\xbf" + CSV.encode())
         assert load_workload(str(path)).jobs[0].cpus == 4
 
-    @pytest.mark.parametrize("data", [b"not gzip at all", gzip.compress(SWF.encode())[:-6]])
+    # fixed ids: the gzip header holds its write time, so a bytes id would change
+    @pytest.mark.parametrize("data", [b"not gzip at all", gzip.compress(SWF.encode())[:-6]],
+                             ids=["not gzip at all", "truncated gzip"])
     def test_corrupt_gzip_is_a_parse_error(self, tmp_path, data):
         path = tmp_path / "bad.swf.gz"
         path.write_bytes(data)

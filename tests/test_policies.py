@@ -554,8 +554,8 @@ class FreshChecked(Policy):
             return {k: t for k, t in promised.items() if k not in before}
 
         assert got == want, view.now
-        # before last_placements, whose placing of deferred jobs would
-        # promise any that were left without a promise
+        # cons-bf and dl defer only jobs that hold a promise, so reading
+        # last_placements, which places deferred jobs, records none
         assert new_promises(self.inner) == new_promises(fresh), view.now
         assert self.inner.last_placements == fresh.last_placements, view.now
         return got
@@ -912,13 +912,14 @@ class Twinned(Policy):
         want = self.twin.select(view)
         got = self.inner.select(view)
         assert got == want, view.now
-        # before last_placements, whose placing of deferred jobs would
-        # promise any that were left without a promise
+        # cons-bf and dl defer only jobs that hold a promise, so reading
+        # last_placements, which places deferred jobs, records none
         promised = getattr(self.twin, "first_planned", None)
         assert getattr(self.inner, "first_planned", None) == promised, view.now
-        bound = self.inner._holds_until
+        plan = self.inner._last[2]
+        bound = plan.holds_until
         assert self.inner.last_placements == self.twin.last_placements, view.now
-        assert self.inner._holds_until == bound  # reading it keeps the plan
+        assert plan.holds_until == bound  # reading it keeps the plan's bound
         return got
 
 
@@ -1043,3 +1044,60 @@ class TestPlanOnlyWhatCanStart:
         policy, full = make_policy("easy-bf"), FullScanEasy()
         assert trace_to_csv(run(wl, cluster, policy)) == trace_to_csv(run(wl, cluster, full))
         assert policy.shadow_log == full.shadow_log
+
+
+class ReadsPlacements(Policy):
+    """Runs a planner that reads last_placements after every select in
+    lockstep with a twin that never does, and checks at every call that
+    both start the same jobs, hold the same promises and keep the same plan
+    with the same bound."""
+
+    def __init__(self, reader, twin):
+        self.reader, self.twin = reader, twin
+        self.name = reader.name
+        self.deferring = 0  # calls that left queued jobs for the read to place
+
+    def select(self, view):
+        got = self.reader.select(view)
+        queue, planned, plan = self.reader._last
+        self.deferring += len(planned) < len(queue)
+        self.reader.last_placements
+        assert got == self.twin.select(view), view.now
+        promised = getattr(self.twin, "first_planned", None)
+        assert getattr(self.reader, "first_planned", None) == promised, view.now
+        twin_plan = self.twin._last[2]
+        assert plan.times == twin_plan.times and plan.free == twin_plan.free, view.now
+        assert plan.holds_until == twin_plan.holds_until, view.now
+        return got
+
+
+# (made, start, end, cpus) hard windows across the saturated trace's three days
+SATURATED_WINDOWS = (
+    (0.0, 20000.0, 30000.0, 8),
+    (40000.0, 90000.0, 100000.0, 12),
+    (150000.0, 160000.0, 200000.0, 4),
+)
+
+
+class TestReadingPlacementsChangesNothing:
+    """Reading last_placements places the deferred jobs on a copy of the
+    plan, so it changes no start, promise, kept plan or bound."""
+
+    @staticmethod
+    def _lockstep(token, wl, cluster, windows):
+        checked = ReadsPlacements(make_policy(token), make_policy(token))
+        run(wl, cluster, checked if token != "dl" else WithHardWindows(checked, windows))
+        return checked
+
+    @pytest.mark.parametrize("token", ["cons-bf", "dl", "esg", "best-gap"])
+    def test_on_an_overestimated_saturated_trace(self, token):
+        wl = overestimated(saturated_workload())
+        checked = self._lockstep(token, wl, ClusterConfig(24), SATURATED_WINDOWS)
+        assert checked.deferring > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(workloads_with_hard_windows(OVERESTIMATES))
+    def test_on_random_workloads(self, case):
+        wl, cluster, windows = case
+        for token in ("cons-bf", "dl", "esg", "best-gap"):
+            self._lockstep(token, wl, cluster, windows)

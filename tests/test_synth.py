@@ -151,6 +151,33 @@ count = 20
         with pytest.raises(ValueError, match="workload"):
             parse_synth_spec("[template.x]\nuser_id = 1\n")
 
+    REQUIRED = (
+        "[workload]\nhorizon = 100\n"
+        "[template.a]\nuser_id = 1\ncpus = 2\nruntime = 10\nperiod = 50\n"
+    )
+
+    @pytest.mark.parametrize("key, section", [
+        ("user_id", "template.a"), ("cpus", "template.a"), ("runtime", "template.a"),
+        ("period", "template.a"), ("horizon", "workload"),
+    ])
+    def test_missing_required_key_named(self, key, section):
+        text = "".join(line + "\n" for line in self.REQUIRED.splitlines()
+                       if not line.startswith(f"{key} ="))
+        with pytest.raises(ValueError) as info:
+            parse_synth_spec(text)
+        assert str(info.value) == f"synthetic spec: [{section}] has no {key}"
+
+    @pytest.mark.parametrize("text, start", [
+        ("horizon = 100\n", "synthetic spec: File contains no section headers."),
+        ("[workload]\nhorizon = 1\n[workload]\n", "synthetic spec: While reading"),
+        ("[workload]\nhorizon = 1%\n", "synthetic spec: '%' must be followed"),
+    ])
+    def test_config_errors_are_value_errors(self, text, start):
+        with pytest.raises(ValueError) as info:
+            parse_synth_spec(text)
+        assert str(info.value).startswith(start)
+        assert "\n" not in str(info.value)
+
     def test_estimate_factor_applied(self):
         spec = parse_synth_spec(self.TEXT)
         wl, _ = synth_workload(spec, seed=0)
