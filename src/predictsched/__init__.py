@@ -42,7 +42,6 @@ from .patterns import (
     prolong,
 )
 from .policies import (
-    PolicyKind,
     POLICY_TOKENS,
     Policy,
     SchedulerView,

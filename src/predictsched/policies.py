@@ -22,26 +22,11 @@ now.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .workload import Job
-
-
-class PolicyKind(enum.Enum):
-    FCFS = "fcfs"
-    LCFS = "lcfs"
-    SHORTEST_JF = "sjf"
-    SMALLEST_JF = "smjf"
-    EDF = "edf"
-    FIRST_FIT = "first-fit"
-    CONSERVATIVE_BF = "cons-bf"
-    EASY_BF = "easy-bf"
-    ESG = "esg"
-    BEST_GAP = "best-gap"
-    DL_PREDICTIVE = "dl"
 
 
 class SchedulerView(NamedTuple):
@@ -74,7 +59,8 @@ class CapacityProfile:
     fits() run that scan on a copy advanced to their start, so they never
     mutate.  reserve() and hold() carve a job or a window where they are
     told; hold_if_free() carves a window only where it fits, which is how
-    the engine admits a reservation.  The loops below rely on two
+    the engine admits a reservation.  All of them cut capacity through
+    carve().  The loops below rely on two
     invariants: times[0] == now, because nothing is added at or before it,
     and times is strictly increasing, so the step after index j is j + 1.
     Neighbouring steps may share a level; segments() merges them.
@@ -97,16 +83,14 @@ class CapacityProfile:
 
     @classmethod
     def from_view(cls, view: SchedulerView) -> "CapacityProfile":
+        # the constructor drops every delta at or before now: an overdue
+        # estimate releases nothing (the real finish event replans), and a
+        # window that has begun is already out of free_cpus
         deltas: dict[float, float] = {}
-        for _job, _start, est_finish in view.running:
-            # overdue estimates release nothing; the real finish event replans
-            if est_finish > view.now:
-                deltas[est_finish] = deltas.get(est_finish, 0.0) + _job.cpus
+        for job, _start, est_finish in view.running:
+            deltas[est_finish] = deltas.get(est_finish, 0.0) + job.cpus
         for ws, we, cpus in view.hard_windows:
-            if we <= view.now:
-                continue
-            if ws > view.now:
-                deltas[ws] = deltas.get(ws, 0.0) - cpus
+            deltas[ws] = deltas.get(ws, 0.0) - cpus
             deltas[we] = deltas.get(we, 0.0) + cpus
         return cls(view.now, view.free_cpus, deltas)
 
@@ -163,8 +147,9 @@ class CapacityProfile:
 
     def carve(self, i: int, j: int, end: float, cpus: int) -> None:
         """Carve cpus out of steps i to j - 1, where step i starts the slot
-        and j is the first step at or after its end (len(times) if none):
-        reserve's carve, with the bisects already done."""
+        and j is the first step at or after its end (len(times) if none),
+        making end a step unless it is infinite.  Every carve goes through
+        here."""
         times, free = self.times, self.free
         if j < len(times):
             if times[j] != end:
@@ -180,11 +165,16 @@ class CapacityProfile:
         self.hold(start, start + duration, cpus)
 
     def hold(self, start: float, end: float, cpus: int) -> None:
-        """Carve cpus out of [start, end), with end kept exact."""
-        i = self._split(start)
-        free = self.free
-        for k in range(i, self._split(end)):
-            free[k] -= cpus
+        """Carve cpus out of [start, end), with both ends kept exact; nothing
+        is carved before now, and an end at or before now carves nothing."""
+        times = self.times
+        if end <= times[0]:
+            return
+        i = bisect.bisect_left(times, start)
+        if i and (i == len(times) or times[i] != start):  # start after now, not a step
+            times.insert(i, start)
+            self.free.insert(i, self.free[i - 1])
+        self.carve(i, bisect.bisect_left(times, end), end, cpus)
 
     def hold_if_free(self, start: float, end: float, cpus: int) -> bool:
         """hold, but only if every step that [start, end) covers has cpus
@@ -198,17 +188,6 @@ class CapacityProfile:
             return False
         self.hold(start, end, cpus)
         return True
-
-    def _split(self, t: float) -> int:
-        """Make t a step time, unless it is at or before now or infinite,
-        and return the index of the first step at or after t."""
-        times = self.times
-        i = bisect.bisect_left(times, t)
-        if i == 0 or (i < len(times) and times[i] == t) or math.isinf(t):
-            return i
-        times.insert(i, t)
-        self.free.insert(i, self.free[i - 1])
-        return i
 
     def segments(self) -> list[tuple[float, float, float]]:
         """Maximal constant-level (start, end, free) runs; the last end is inf."""
@@ -664,9 +643,9 @@ class DlPredictive(ConservativeBackfill):
     name = "dl"
 
 
-# token -> factory, in PolicyKind order, then pbs-pro: a documented stand-in
-# for PBS-Pro's unavailable commercial rule set, FCFS order with first-fit
-# skipping.  fcfs and first-fit keep the view's (submit_time, job_id) order.
+# token -> factory; pbs-pro is a documented stand-in for PBS-Pro's
+# unavailable commercial rule set, FCFS order with first-fit skipping.
+# fcfs and first-fit keep the view's (submit_time, job_id) order.
 _FACTORIES = {
     "fcfs": lambda: QueuePolicy("fcfs"),
     "lcfs": lambda: QueuePolicy("lcfs", attrgetter("submit_time"), reverse=True),
@@ -685,8 +664,9 @@ _FACTORIES = {
 POLICY_TOKENS = tuple(_FACTORIES)
 
 
-def make_policy(kind: PolicyKind | str) -> Policy:
-    token = kind.value if isinstance(kind, PolicyKind) else kind.lower()
-    if token not in _FACTORIES:
-        raise ValueError(f"unknown policy '{kind}'; expected one of {POLICY_TOKENS}")
-    return _FACTORIES[token]()
+def make_policy(token: str) -> Policy:
+    """A new policy for a token of POLICY_TOKENS, in any case."""
+    key = token.lower()
+    if key not in _FACTORIES:
+        raise ValueError(f"unknown policy '{token}'; expected one of {POLICY_TOKENS}")
+    return _FACTORIES[key]()

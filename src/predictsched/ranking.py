@@ -15,6 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .metrics import OBJECTIVES
+
 # ratio used when one algorithm dominates another outright; keeps the
 # matrix finite while preserving reciprocity
 DOMINANCE_CAP = 1e3
@@ -160,20 +162,30 @@ def load_matrix_tsv(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
 
     Accepts plain numeric rows, or a header row of algorithm names (leading
     cell empty) with each data row carrying its name in the first column.
+    Any other first row, a cell that is not a number and a ragged row are
+    ValueErrors naming the line, counting blank lines.
     """
-    rows = [line.split("\t") for line in text.splitlines() if line.strip()]
+    rows = [(n, line.split("\t")) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not rows:
         raise ValueError("empty matrix file")
     names: Optional[list[str]] = None
+    n, first = rows[0]
     try:
-        float(rows[0][-1])
+        float(first[-1])
     except ValueError:
-        names = [c.strip() for c in rows[0][1:] if c.strip()]
+        if first[0].strip():
+            raise ValueError(f"line {n}: neither numbers nor a header (leading cell empty)") from None
+        names = [c.strip() for c in first[1:] if c.strip()]
         rows = rows[1:]
     data = []
-    for row in rows:
+    for n, row in rows:
         cells = row[1:] if names is not None else row
-        data.append([float(c) for c in cells if c.strip() != ""])
+        try:
+            data.append([float(c) for c in cells if c.strip() != ""])
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+        if len(data[-1]) != len(data[0]):
+            raise ValueError(f"line {n}: ragged row, {len(data[-1])} of {len(data[0])} numbers")
     m = np.array(data, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: shape {m.shape}")
@@ -210,8 +222,6 @@ def render_matrix(names: Sequence[str], matrix, ranking: Ranking) -> str:
 def render_report(names: Sequence[str], values, matrix, ranking: Ranking) -> str:
     """Tab-separated report: absolute objectives, flagging the degenerate
     ones (every algorithm equal), then render_matrix."""
-    from .metrics import OBJECTIVES  # local import avoids a module cycle
-
     v = np.asarray(values, dtype=float)
     out = io.StringIO()
     out.write("criteria\t" + "\t".join(names) + "\n")

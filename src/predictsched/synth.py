@@ -19,7 +19,7 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -176,8 +176,8 @@ def parse_synth_spec(text: str) -> SynthSpec:
         count = 10
 
     horizon and each template's user_id, cpus, runtime and period are
-    required; a missing one, or text configparser cannot read, is a
-    ValueError.
+    required.  A missing key, a value that does not convert, a section of
+    another name, or text configparser cannot read is a ValueError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -187,48 +187,51 @@ def parse_synth_spec(text: str) -> SynthSpec:
         raise ValueError(f"synthetic spec: {' '.join(str(exc).split())}") from None
 
 
-def _required(section, key: str, kind):
-    if key not in section:
-        raise ValueError(f"synthetic spec: [{section.name}] has no {key}")
-    return kind(section[key])
+# each section's keys and their types
+_TEMPLATE_KEYS = {"user_id": int, "cpus": int, "runtime": float, "period": float,
+                  "offset": float, "count": int, "submit_jitter": float,
+                  "runtime_jitter": float}
+_WORKLOAD_KEYS = {"horizon": float, "background_rate": float, "background_users": int,
+                  "background_cpus_min": int, "background_cpus_max": int,
+                  "background_runtime_min": float, "background_runtime_max": float,
+                  "estimate_factor": float}
+
+
+def _values(section, keys: dict, required) -> dict:
+    """The keys present in section, each converted to its type; a missing
+    required key or a value that does not convert names the section and key."""
+    values = {}
+    for key, kind in keys.items():
+        if key not in section:
+            if key in required:
+                raise ValueError(f"synthetic spec: [{section.name}] has no {key}")
+            continue
+        try:
+            values[key] = kind(section[key])
+        except ValueError:
+            raise ValueError(f"synthetic spec: [{section.name}] {key} = {section[key]!r} "
+                             f"is not {'an integer' if kind is int else 'a number'}") from None
+    return values
 
 
 def _spec_from(parser: configparser.ConfigParser) -> SynthSpec:
     if "workload" not in parser:
         raise ValueError("synthetic spec needs a [workload] section")
-    w = parser["workload"]
-    tpl = {f.name: f.default for f in fields(SynthTemplate)}
-    spec = {f.name: f.default for f in fields(SynthSpec)}
     templates = []
-    for section in parser.sections():
-        if not section.startswith("template"):
+    for name in parser.sections():
+        if name == "workload":
             continue
-        s = parser[section]
-        templates.append(
-            SynthTemplate(
-                user_id=_required(s, "user_id", int),
-                cpus=_required(s, "cpus", int),
-                runtime=_required(s, "runtime", float),
-                period=_required(s, "period", float),
-                offset=s.getfloat("offset", tpl["offset"]),
-                count=s.getint("count", tpl["count"]),
-                submit_jitter=s.getfloat("submit_jitter", tpl["submit_jitter"]),
-                runtime_jitter=s.getfloat("runtime_jitter", tpl["runtime_jitter"]),
-            )
-        )
-    cpus, runtime = spec["background_cpus"], spec["background_runtime"]
+        if not name.startswith("template.") or name == "template.":
+            raise ValueError(f"synthetic spec: unknown section [{name}]; "
+                             "expected [workload] or [template.<name>]")
+        templates.append(SynthTemplate(**_values(
+            parser[name], _TEMPLATE_KEYS, ("user_id", "cpus", "runtime", "period"))))
+    w = _values(parser["workload"], _WORKLOAD_KEYS, ("horizon",))
+    (lo_c, hi_c), (lo_r, hi_r) = SynthSpec.background_cpus, SynthSpec.background_runtime
     return SynthSpec(
-        horizon=_required(w, "horizon", float),
         templates=tuple(templates),
-        background_rate=w.getfloat("background_rate", spec["background_rate"]),
-        background_users=w.getint("background_users", spec["background_users"]),
-        background_cpus=(
-            w.getint("background_cpus_min", cpus[0]),
-            w.getint("background_cpus_max", cpus[1]),
-        ),
-        background_runtime=(
-            w.getfloat("background_runtime_min", runtime[0]),
-            w.getfloat("background_runtime_max", runtime[1]),
-        ),
-        estimate_factor=w.getfloat("estimate_factor", spec["estimate_factor"]),
+        background_cpus=(w.pop("background_cpus_min", lo_c), w.pop("background_cpus_max", hi_c)),
+        background_runtime=(w.pop("background_runtime_min", lo_r),
+                            w.pop("background_runtime_max", hi_r)),
+        **w,
     )

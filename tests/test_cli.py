@@ -243,6 +243,22 @@ class TestCompare:
         assert rc == 0
         assert "winner\tTabuSearch" in out
 
+    @pytest.mark.parametrize("text, error", [
+        ("1\t2\n3\n", "line 2: ragged row, 1 of 2 numbers"),
+        ("\ta\tb\n\na\t1\t2\nb\t1\n", "line 4: ragged row, 1 of 2 numbers"),
+        ("a\tb\n1\t2\n", "line 1: neither numbers nor a header (leading cell empty)"),
+        ("1\t2\n2\tx\n", "line 2: could not convert string to float: 'x'"),
+    ], ids=["ragged", "ragged-named", "header-with-leading-cell", "non-numeric"])
+    def test_bad_matrix_exit_1(self, text, error, tmp_path, capsys):
+        # a ragged row used to exit with numpy's message, naming no line, and
+        # a header with a leading cell was ranked as a 1x1 matrix
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(text)
+        assert main(["compare", "--matrix", str(matrix)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("extra", [
         ["--workload", "w.csv"], ["--format", "swf"], ["--cpus", "4"],
         ["--policies", "fcfs,sjf"], ["--tick", "3600"], ["--any-user"],
@@ -407,6 +423,41 @@ class TestSynth:
         out = tmp_path / "wl.csv"
         assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: synthetic spec: [{section}] has no {key}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("template.daily", "user_id", "1.5", "an integer"),
+        ("template.daily", "count", "1.5", "an integer"),
+        ("template.daily", "runtime", "ten", "a number"),
+        ("workload", "background_users", "1.5", "an integer"),
+        ("workload", "horizon", "ten", "a number"),
+    ])
+    def test_value_that_does_not_convert_exit_1(self, section, key, value, kind,
+                                                 tmp_path, capsys):
+        # user_id = 1.5 used to exit with int()'s message, naming no section or key
+        lines = [line for line in SPEC_TEXT.splitlines() if not line.startswith(f"{key} =")]
+        at = lines.index(f"[{section}]") + 1
+        spec = tmp_path / "spec.ini"
+        spec.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: synthetic spec: [{section}] {key} = '{value}' is not {kind}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        SPEC_TEXT + "\n[template_notes]\nowner = ops\n",
+        SPEC_TEXT.replace("[template.daily]", "[templates]"),
+    ], ids=["template_notes", "templates"])
+    def test_unknown_section_exit_1(self, text, tmp_path, capsys):
+        # a misspelt [templates] used to be read as a template, writing its jobs
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text)
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic spec: unknown section [template")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_no_section_header_exit_1(self, tmp_path, capsys):

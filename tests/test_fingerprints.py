@@ -23,9 +23,9 @@ from pathlib import Path
 import pytest
 
 from predictsched import (
+    POLICY_TOKENS,
     ClusterConfig,
     ForecasterConfig,
-    PolicyKind,
     SimilarityParams,
     ThresholdState,
     feedback_to_csv,
@@ -60,11 +60,10 @@ SCENARIOS = {
     "underestimate": (underestimate_workload, True, ThresholdState()),
 }
 
-# the ten policies that run without a forecaster on the two light workloads,
-# and the planner policies on the deep queue, where profiles have many steps
-PLAIN_POLICIES = tuple(
-    k.value for k in PolicyKind if k is not PolicyKind.DL_PREDICTIVE
-)
+# the ten policies that run without a forecaster on the two light workloads
+# (pbs-pro is first-fit under another name), and the planner policies on the
+# deep queue, where profiles have many steps
+PLAIN_POLICIES = tuple(t for t in POLICY_TOKENS if t not in ("dl", "pbs-pro"))
 POLICY_SCENARIOS = {
     "lifecycle": (lifecycle_workload, PLAIN_POLICIES),
     "weekly": (weekly_workload, PLAIN_POLICIES),

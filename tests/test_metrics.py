@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from predictsched import (
+    POLICY_TOKENS,
     ClusterConfig,
-    PolicyKind,
     SimTrace,
     TraceRecord,
     makespan,
@@ -153,8 +153,8 @@ class TestMatchesReference:
     ])
     def test_every_policy_on_the_conftest_workloads(self, build, cpus):
         wl, cluster = build(), ClusterConfig(cpus)
-        for kind in PolicyKind:
-            t = run(wl, cluster, kind.value)
+        for token in POLICY_TOKENS:
+            t = run(wl, cluster, token)
             assert objectives(t, cluster).as_tuple() == reference_objectives(t, cluster)
 
 

@@ -10,7 +10,6 @@ from predictsched import (
     ClusterConfig,
     ForecasterConfig,
     Policy,
-    PolicyKind,
     ThresholdState,
     make_policy,
     run,
@@ -249,9 +248,6 @@ class TestDlPolicy:
 
 class TestPolicyRegistry:
     def test_all_tokens_resolve(self):
-        assert POLICY_TOKENS == tuple(k.value for k in PolicyKind) + ("pbs-pro",)
-        for kind in PolicyKind:
-            assert make_policy(kind).name == kind.value
         for token in POLICY_TOKENS:
             assert make_policy(token).name == token
             assert make_policy(token.upper()).name == token

@@ -188,6 +188,20 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="square"):
             load_matrix_tsv("1\t2\t3\n4\t5\t6\n")
 
+    def test_ragged_row_names_its_line(self):
+        # blank lines count: the line is the file's own
+        with pytest.raises(ValueError, match="^line 4: ragged row, 3 of 2 numbers$"):
+            load_matrix_tsv("1\t2\n\n2\t1\n3\t4\t5\n")
+
+    def test_header_with_a_leading_cell_is_line_1(self):
+        # used to read as a one-name header over a 1x1 matrix
+        with pytest.raises(ValueError, match="^line 1: neither numbers nor a header"):
+            load_matrix_tsv("a\tb\n1\t2\n")
+
+    def test_non_numeric_cell_names_its_line(self):
+        with pytest.raises(ValueError, match="^line 3: could not convert"):
+            load_matrix_tsv("\tx\ty\nx\t1\t2\ny\t0.5\tone\n")
+
 
 def test_rank_algorithms_end_to_end():
     values = np.array(

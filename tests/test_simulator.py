@@ -10,7 +10,6 @@ from predictsched import (
     ClusterConfig,
     Decision,
     ForecasterConfig,
-    PolicyKind,
     PredictedJob,
     SimilarityParams,
     SimulationError,
@@ -462,9 +461,9 @@ class TestSchedulerViewContract:
         wl = build()
         jobs = {j.job_id: j for j in wl}
         fc = ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
-        for kind in PolicyKind:
-            policy = RecordingPolicy(make_policy(kind))
-            forecaster = fc if kind is PolicyKind.DL_PREDICTIVE else None
+        for token in POLICY_TOKENS:
+            policy = RecordingPolicy(make_policy(token))
+            forecaster = fc if token == "dl" else None
             trace = run(wl, ClusterConfig(16), policy, forecaster)
             # start sequence: at one instant, jobs matched to a reservation
             # on submit (in submit order) start before those a policy starts
@@ -473,15 +472,15 @@ class TestSchedulerViewContract:
                 rank.update((job.job_id, len(rank)) for job in starts)
             for view, starts in policy.calls:
                 now = view.now
-                assert view.queue, kind
-                assert view.free_cpus >= 1, kind
+                assert view.queue, token
+                assert view.free_cpus >= 1, token
                 keys = [(j.submit_time, j.job_id) for j in view.queue]
-                assert keys == sorted(keys), kind
+                assert keys == sorted(keys), token
                 started_now = {j.job_id for j in starts}
                 assert {j.job_id for j in view.queue} == {
                     r.job_id for r in trace.records
                     if r.submit <= now < r.start or r.job_id in started_now
-                }, kind
+                }, token
                 running = sorted(
                     (r for r in trace.records
                      if r.start <= now < r.finish and r.job_id not in started_now),
@@ -490,8 +489,8 @@ class TestSchedulerViewContract:
                 assert view.running == tuple(
                     (jobs[r.job_id], r.start, r.start + jobs[r.job_id].runtime_estimate)
                     for r in running
-                ), kind
-            assert policy.calls, kind
+                ), token
+            assert policy.calls, token
 
 
 class TestNoLookahead:
