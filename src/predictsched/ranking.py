@@ -171,7 +171,7 @@ def load_matrix_tsv(text: str) -> tuple[np.ndarray, Optional[list[str]]]:
     names: Optional[list[str]] = None
     n, first = rows[0]
     try:
-        float(first[-1])
+        float([c for c in first if c.strip()][-1])
     except ValueError:
         if first[0].strip():
             raise ValueError(f"line {n}: neither numbers nor a header (leading cell empty)") from None

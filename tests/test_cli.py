@@ -250,8 +250,6 @@ class TestCompare:
         ("1\t2\n2\tx\n", "line 2: could not convert string to float: 'x'"),
     ], ids=["ragged", "ragged-named", "header-with-leading-cell", "non-numeric"])
     def test_bad_matrix_exit_1(self, text, error, tmp_path, capsys):
-        # a ragged row used to exit with numpy's message, naming no line, and
-        # a header with a leading cell was ranked as a 1x1 matrix
         matrix = tmp_path / "m.tsv"
         matrix.write_text(text)
         assert main(["compare", "--matrix", str(matrix)]) == 1
@@ -434,7 +432,6 @@ class TestSynth:
     ])
     def test_value_that_does_not_convert_exit_1(self, section, key, value, kind,
                                                  tmp_path, capsys):
-        # user_id = 1.5 used to exit with int()'s message, naming no section or key
         lines = [line for line in SPEC_TEXT.splitlines() if not line.startswith(f"{key} =")]
         at = lines.index(f"[{section}]") + 1
         spec = tmp_path / "spec.ini"
@@ -450,7 +447,6 @@ class TestSynth:
         SPEC_TEXT.replace("[template.daily]", "[templates]"),
     ], ids=["template_notes", "templates"])
     def test_unknown_section_exit_1(self, text, tmp_path, capsys):
-        # a misspelt [templates] used to be read as a template, writing its jobs
         spec = tmp_path / "spec.ini"
         spec.write_text(text)
         out = tmp_path / "wl.csv"

@@ -184,6 +184,11 @@ class TestMatrixIO:
         assert names is None
         assert m.tolist() == [[1, 2], [0.5, 1]]
 
+    def test_trailing_tab_keeps_a_numeric_first_row(self):
+        m, names = load_matrix_tsv("1\t2\t\n0.5\t1\t\n")
+        assert names is None
+        assert m.tolist() == [[1, 2], [0.5, 1]]
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             load_matrix_tsv("1\t2\t3\n4\t5\t6\n")
@@ -194,7 +199,6 @@ class TestMatrixIO:
             load_matrix_tsv("1\t2\n\n2\t1\n3\t4\t5\n")
 
     def test_header_with_a_leading_cell_is_line_1(self):
-        # used to read as a one-name header over a 1x1 matrix
         with pytest.raises(ValueError, match="^line 1: neither numbers nor a header"):
             load_matrix_tsv("a\tb\n1\t2\n")
 

@@ -182,7 +182,6 @@ count = 20
         (section, key) for section, keys in KEYS.items() for key in keys
     ])
     def test_value_that_does_not_convert_named(self, section, key):
-        # user_id = 1.5 used to give int()'s message, naming no section or key
         value, kind = ("1.5", "an integer") if self.KEYS[section][key] is int else ("ten", "a number")
         lines = [line for line in self.REQUIRED.splitlines() if not line.startswith(f"{key} =")]
         at = lines.index(f"[{section}]") + 1
@@ -192,14 +191,12 @@ count = 20
         assert str(info.value) == f"synthetic spec: [{section}] {key} = '{value}' is not {kind}"
 
     def test_template_underscore_section_is_unknown(self):
-        # [template_notes] used to be read as a template without a user_id
         with pytest.raises(ValueError) as info:
             parse_synth_spec(self.REQUIRED + "[template_notes]\nowner = ops\n")
         assert str(info.value) == ("synthetic spec: unknown section [template_notes]; "
                                    "expected [workload] or [template.<name>]")
 
     def test_misspelt_templates_section_is_unknown(self):
-        # [templates] used to be read as a template, adding its jobs
         text = self.REQUIRED.replace("[template.a]", "[templates]")
         with pytest.raises(ValueError, match=r"unknown section \[templates\]"):
             parse_synth_spec(text)
