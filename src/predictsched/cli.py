@@ -4,7 +4,8 @@ Subcommands: analyze (Hurst report), forecast (pattern mining to CSV),
 simulate (one policy, trace + objectives), compare (many policies or a
 stored matrix, full ranking report), synth (generate a workload).  The
 PREDICTSCHED_SEED environment variable overrides any configured seed.
-Exit status: 0 on success, 1 on domain errors, 2 on usage/file errors.
+Exit status: 0 on success, 1 on domain errors, 2 on usage errors and on a
+path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .ranking import (
 from .simtrace import trace_to_csv
 from .simulator import ForecasterConfig, run, run_with_telemetry, score_predictions
 from .synth import parse_synth_spec, synth_workload, truth_to_csv
-from .workload import CHANNELS, ClusterConfig, load_workload, to_time_series, workload_to_csv
+from .workload import (CHANNELS, ClusterConfig, load_workload, read_text, to_time_series,
+                       workload_to_csv)
 
 # default criterion preferences: makespan and slowdown tie, slowdown
 # outranks resource usage, resource usage outranks makespan
@@ -48,13 +50,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = 1):
         super().__init__(message)
         self.code = code
-
-
-def _read_file(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"file not found: {path}", code=2)
-    return p.read_text(encoding="utf-8")
 
 
 def _seed(args) -> int:
@@ -166,7 +161,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     if args.matrix:
         _reject_given(args, _add_replay_args, "--matrix takes no replay options")
-        matrix, names = load_matrix_tsv(_read_file(args.matrix))
+        matrix, names = load_matrix_tsv(read_text(args.matrix))
         names = names or [f"alg{i}" for i in range(matrix.shape[0])]
         sys.stdout.write(render_matrix(names, matrix, principal_eigenvector(matrix)))
         return 0
@@ -191,7 +186,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = parse_synth_spec(_read_file(args.spec))
+    spec = parse_synth_spec(read_text(args.spec))
     workload, truth = synth_workload(spec, seed=_seed(args))
     Path(args.out).write_text(workload_to_csv(workload), encoding="utf-8")
     print(f"wrote {len(workload)} jobs to {args.out}")
@@ -291,11 +286,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as exc:
-        print(f"error: is a directory, not a file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import bisect
 import collections
-import csv
 import enum
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .patterns import Pattern, PredictedJob, SimilarityParams, _FirstMatch, _Group, _median
+from .workload import write_csv
 
 MODES = ("survival", "pdf_normalized")
 _PERIOD_RATIO_TOL = 0.25
@@ -225,17 +224,10 @@ class FeedbackEvent:
 
 
 def feedback_to_csv(events: Iterable[FeedbackEvent]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["pattern_id", "predicted_submit", "confidence", "decision", "came_true"])
-    for ev in events:
-        writer.writerow(
-            [
-                ev.prediction.pattern_id,
-                ev.prediction.predicted_submit,
-                f"{ev.prediction.confidence:.6f}",
-                ev.decision.value if ev.decision is not None else "",
-                int(ev.came_true),
-            ]
-        )
-    return out.getvalue()
+    return write_csv(
+        ["pattern_id", "predicted_submit", "confidence", "decision", "came_true"],
+        ((ev.prediction.pattern_id, ev.prediction.predicted_submit,
+          f"{ev.prediction.confidence:.6f}",
+          ev.decision.value if ev.decision is not None else "", int(ev.came_true))
+         for ev in events),
+    )

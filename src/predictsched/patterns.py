@@ -35,14 +35,12 @@ from __future__ import annotations
 
 import bisect
 import collections
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .workload import Job, Workload
+from .workload import Job, Workload, write_csv
 
 
 @dataclass(frozen=True)
@@ -626,18 +624,8 @@ def predictions_to_csv(
     predictions: Iterable[PredictedJob], patterns: Sequence[Pattern]
 ) -> str:
     layer_of = {p.pattern_id: p.layer for p in patterns}
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["pattern_id", "layer", "predicted_submit", "cpus", "runtime", "confidence"])
-    for pred in predictions:
-        writer.writerow(
-            [
-                pred.pattern_id,
-                layer_of.get(pred.pattern_id, 1),
-                pred.predicted_submit,
-                pred.cpus,
-                pred.runtime,
-                f"{pred.confidence:.6f}",
-            ]
-        )
-    return out.getvalue()
+    return write_csv(
+        ["pattern_id", "layer", "predicted_submit", "cpus", "runtime", "confidence"],
+        ((pred.pattern_id, layer_of.get(pred.pattern_id, 1), pred.predicted_submit,
+          pred.cpus, pred.runtime, f"{pred.confidence:.6f}") for pred in predictions),
+    )

@@ -6,15 +6,14 @@ object is built only when a caller reads one row.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .workload import ClusterConfig
+from .workload import ClusterConfig, _whole_as_int, write_csv
 
 
 @dataclass(frozen=True)
@@ -26,7 +25,7 @@ class TraceRecord:
     cpus: int
 
     def __post_init__(self):
-        if not self.submit <= self.start < self.finish:
+        if not -math.inf < self.submit <= self.start < self.finish < math.inf:
             raise ValueError(
                 f"job {self.job_id}: need submit <= start < finish, "
                 f"got ({self.submit}, {self.start}, {self.finish})"
@@ -41,8 +40,8 @@ class TraceRecords(Sequence[TraceRecord]):
     built records are not cached.  A slice is a `TraceRecords`, `+`
     concatenates, and `==` compares values with another `TraceRecords` or
     a tuple of records; equal rows hash equal.  The constructor checks
-    submit <= start < finish on every row at once and raises the
-    `TraceRecord` error of the first row that breaks it.
+    finite times with submit <= start < finish on every row at once and
+    raises the `TraceRecord` error of the first row that breaks it.
     """
 
     __slots__ = ("job_ids", "times", "cpus")
@@ -55,7 +54,8 @@ class TraceRecords(Sequence[TraceRecord]):
                 f"got times of shape {times.shape} and {len(cpus)} cpus"
             )
         submit, start, finish = times.T
-        bad = np.flatnonzero(~((submit <= start) & (start < finish)))  # NaN fails too
+        ordered = (-np.inf < submit) & (submit <= start) & (start < finish) & (finish < np.inf)
+        bad = np.flatnonzero(~ordered)  # NaN fails too
         if bad.size:  # the first bad row fails TraceRecord's own check
             k = bad[0]
             TraceRecord(job_ids[k], *times[k].tolist(), cpus[k])
@@ -124,14 +124,7 @@ class SimTrace:
 
 def trace_to_csv(trace: SimTrace) -> str:
     records = trace.records
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["job_id", "submit", "start", "finish", "cpus"])
-    # csv prints a float as its repr, so with whole values made ints each
-    # field reads as fmt_seconds prints it; whole cpus print as integers
-    columns = [
-        [int(x) if x.is_integer() else x for x in column]
-        for column in np.column_stack((records.times, records.cpus)).T.tolist()
-    ]
-    writer.writerows(zip(records.job_ids, *columns))
-    return out.getvalue()
+    # cpus too: a whole float count (2.0) prints as 2
+    columns = map(_whole_as_int, [*records.times.T.tolist(), records.cpus])
+    return write_csv(["job_id", "submit", "start", "finish", "cpus"],
+                     zip(records.job_ids, *columns))

@@ -604,8 +604,7 @@ class _Engine:
         rows = []
         for res in self.active_reservations.values():
             if res.decision is Decision.HARD_RESERVE:
-                start = self.now if res.state is _HELD else res.window_start
-                rows.append((start, res.window_end, res.cpus))
+                rows.append((res.window_start, res.window_end, res.cpus))
         return tuple(sorted(rows))
 
 

@@ -16,15 +16,13 @@ stays an int when it has no runtime jitter.
 from __future__ import annotations
 
 import configparser
-import csv
-import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
-from .workload import Job, Workload
+from .workload import Job, Workload, write_csv
 
 
 @dataclass(frozen=True)
@@ -95,14 +93,26 @@ class Occurrence:
 
 _BG_USER_BASE = 1000
 _BG_GROUP = 99
+_MAX_JOBS = 1_000_000  # rows drawn per workload; more would not fit in memory
+
+
+def _check_jobs(n: int, source: str) -> None:
+    if n > _MAX_JOBS:
+        raise ValueError(f"synthetic spec: {source} would bring the workload past "
+                         f"{_MAX_JOBS:,} jobs")
 
 
 def synth_workload(spec: SynthSpec, seed: int = 0) -> tuple[Workload, tuple[Occurrence, ...]]:
     """Generate a deterministic workload plus the injected ground truth.
 
     Template occurrences beyond the horizon are clipped.  Job ids are
-    assigned in submit order after merging templates and background.
+    assigned in submit order after merging templates and background.  More
+    than _MAX_JOBS rows to draw is a ValueError raised before they are drawn.
     """
+    drawn = 0
+    for tid, tpl in enumerate(spec.templates):
+        drawn += tpl.count
+        _check_jobs(drawn, f"template {tid}")
     rng = np.random.default_rng(seed)
     truth: list[Occurrence] = []
     pending: list[tuple[float, int, int, float, int]] = []  # submit, user, cpus, runtime, group
@@ -128,6 +138,7 @@ def synth_workload(spec: SynthSpec, seed: int = 0) -> tuple[Workload, tuple[Occu
 
     if spec.background_rate > 0:
         n_bg = int(rng.poisson(spec.background_rate * spec.horizon))
+        _check_jobs(drawn + n_bg, "[workload] background_rate * horizon")
         times = np.sort(rng.uniform(0.0, spec.horizon, size=n_bg))
         users = rng.integers(0, spec.background_users, size=n_bg) + _BG_USER_BASE
         lo_c, hi_c = spec.background_cpus
@@ -148,14 +159,10 @@ def synth_workload(spec: SynthSpec, seed: int = 0) -> tuple[Workload, tuple[Occu
 
 
 def truth_to_csv(truth: tuple[Occurrence, ...] | list[Occurrence]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["template_id", "occurrence_index", "submit_time", "cpus", "runtime"])
-    for occ in truth:
-        writer.writerow(
-            [occ.template_id, occ.occurrence_index, occ.submit_time, occ.cpus, occ.runtime]
-        )
-    return out.getvalue()
+    return write_csv(
+        ["template_id", "occurrence_index", "submit_time", "cpus", "runtime"],
+        ((o.template_id, o.occurrence_index, o.submit_time, o.cpus, o.runtime) for o in truth),
+    )
 
 
 def parse_synth_spec(text: str) -> SynthSpec:

@@ -256,8 +256,8 @@ def _whole_as_int(column) -> list:
     """The column with each whole number made an int and every other one a
     float (None stays None).  csv writes an int as its digits, a float as
     its repr and None as an empty field, so a time goes out as whole
-    seconds when it is whole and as its exact float repr otherwise.  Job
-    holds only finite times, so int() cannot overflow here."""
+    seconds when it is whole and as its exact float repr otherwise.  Jobs
+    and traces hold only finite times, so int() cannot overflow here."""
     return [x if x is None else i if x == (i := int(x)) else float(x) for x in column]
 
 
@@ -266,9 +266,6 @@ def workload_to_csv(workload: Workload) -> str:
     jobs = workload.jobs
     deadlines = [j.deadline for j in jobs]
     any_deadline = deadlines.count(None) < len(deadlines)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(list(_CSV_COLUMNS) + (["deadline"] if any_deadline else []))
     columns = [
         [j.job_id for j in jobs],
         [j.user_id for j in jobs],
@@ -280,23 +277,39 @@ def workload_to_csv(workload: Workload) -> str:
     ]
     if any_deadline:
         columns.append(_whole_as_int(deadlines))
-    writer.writerows(zip(*columns))
+    return write_csv(list(_CSV_COLUMNS) + (["deadline"] if any_deadline else []),
+                     zip(*columns))
+
+
+def write_csv(header: Sequence[str], rows) -> str:
+    """CSV text of the header and then each row, as every CSV output is
+    written: an int as its digits, a float as its repr, None as empty."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def load_workload(path: str, fmt: Optional[str] = None) -> Workload:
-    """Read a workload file, inferring the format from the extension unless
-    given.  A name ending in .gz is read through gzip and its format
-    inferred from the name without .gz; a UTF-8 byte order mark is skipped."""
-    name = str(path).lower()
-    zipped = name.endswith(".gz")
-    if fmt is None:
-        fmt = "swf" if name.removesuffix(".gz").endswith(".swf") else "csv"
+def read_text(path: str) -> str:
+    """The text of any input file: read through gzip when its name ends in
+    .gz, as UTF-8 with a leading byte order mark skipped.  A file that is
+    not valid gzip is a ParseError naming the path."""
+    opener = gzip.open if str(path).lower().endswith(".gz") else open
     try:
-        with (gzip.open if zipped else open)(path, "rt", encoding="utf-8-sig") as fh:
-            text = fh.read()
+        with opener(path, "rt", encoding="utf-8-sig") as fh:
+            return fh.read()
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"{path}: not a readable gzip file ({exc})") from None
+
+
+def load_workload(path: str, fmt: Optional[str] = None) -> Workload:
+    """Read a workload file through read_text, inferring the format from the
+    extension unless given; a name ending in .gz has its format inferred
+    from the name without .gz."""
+    if fmt is None:
+        fmt = "swf" if str(path).lower().removesuffix(".gz").endswith(".swf") else "csv"
+    text = read_text(path)
     if fmt == "swf":
         return parse_swf(text, source_name=str(path))
     if fmt == "csv":

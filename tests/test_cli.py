@@ -1,4 +1,6 @@
+import codecs
 import csv
+import gzip
 import hashlib
 from pathlib import Path
 
@@ -466,6 +468,23 @@ class TestSynth:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, source", [
+        (SPEC_TEXT + "[template.big]\nuser_id = 2\ncpus = 1\nruntime = 10\nperiod = 1\n"
+         "count = 100000000000\n", "template 1"),
+        ("[workload]\nhorizon = 1e11\nbackground_rate = 1\n",
+         "[workload] background_rate * horizon"),
+    ], ids=["template-count", "background"])
+    def test_spec_over_the_job_bound_exit_1(self, text, source, tmp_path, capsys):
+        # both used to draw every row first: a MemoryError, or numpy asking
+        # for 745 GiB, with a traceback
+        spec = tmp_path / "spec.ini"
+        spec.write_text(text)
+        out = tmp_path / "wl.csv"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: synthetic spec: {source} would bring the workload past 1,000,000 jobs\n")
+        assert not out.exists()
+
     def test_env_seed_overrides(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.ini"
         spec.write_text(SPEC_TEXT)
@@ -596,3 +615,91 @@ def test_report_bytes_pinned(case, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[case]
+
+
+
+# every option that names a file, with BAD where the bad path goes
+FILE_OPTIONS = {
+    "analyze-workload": ["analyze", "--workload", "BAD"],
+    "forecast-workload": ["forecast", "--workload", "BAD"],
+    "simulate-workload": ["simulate", "--workload", "BAD", "--cpus", "1", "--policy", "fcfs"],
+    "compare-workload": ["compare", "--workload", "BAD", "--cpus", "1", "--policies", "fcfs,sjf"],
+    "compare-matrix": ["compare", "--matrix", "BAD"],
+    "synth-spec": ["synth", "--spec", "BAD", "--out", "OUT"],
+    "synth-out": ["synth", "--spec", "SPEC", "--out", "BAD"],
+    "synth-truth": ["synth", "--spec", "SPEC", "--out", "OUT", "--truth", "BAD"],
+    "forecast-out": ["forecast", "--workload", "WL", "--out", "BAD"],
+    "simulate-out": ["simulate", "--workload", "WL", "--cpus", "1", "--policy", "fcfs",
+                     "--out", "BAD"],
+    "simulate-feedback-out": ["simulate", "--workload", "WL", "--cpus", "1", "--policy", "fcfs",
+                              "--feedback-out", "BAD"],
+}
+
+
+def _bad_path(case, tmp_path):
+    if case == "missing":
+        return tmp_path / "no" / "such.csv"
+    if case == "directory":
+        (tmp_path / "dir").mkdir()
+        return tmp_path / "dir"
+    if case == "under-a-file":
+        (tmp_path / "regular.txt").write_text("x\n")
+        return tmp_path / "regular.txt" / "x.csv"
+    return tmp_path / ("n" * 5000)  # longer than any file name may be
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "under-a-file", "long-name"])
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_path_that_cannot_be_read_or_written_exit_2(option, case, two_job_csv, tmp_path,
+                                                     capsys):
+    # under a file and over-long names used to end in a traceback
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    bad = _bad_path(case, tmp_path)
+    paths = {"BAD": str(bad), "WL": str(two_job_csv), "SPEC": str(spec),
+             "OUT": str(tmp_path / "out.csv")}
+    rc = main([paths.get(arg, arg) for arg in FILE_OPTIONS[option]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err and "Traceback" not in err
+
+
+def _encoded(tmp_path, name, text, variant):
+    if variant == "bom":
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+    else:
+        path = tmp_path / f"{name}.gz"
+        path.write_bytes(gzip.compress(text.encode()))
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["bom", "gzip"])
+class TestInputFilesReadAsWorkloads:
+    """--spec and --matrix are read as --workload is: through gzip when the
+    name ends in .gz, with a byte order mark skipped."""
+
+    def test_spec(self, variant, tmp_path, capsys):
+        plain, out = tmp_path / "spec.ini", tmp_path / "plain.csv"
+        plain.write_text(SPEC_TEXT)
+        assert main(["synth", "--spec", str(plain), "--out", str(out), "--seed", "7"]) == 0
+        spec = _encoded(tmp_path, "spec.ini", SPEC_TEXT, variant)
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "o.csv"), "--seed", "7"]) == 0
+        assert (tmp_path / "o.csv").read_bytes() == out.read_bytes()
+
+    def test_matrix(self, variant, tmp_path, capsys):
+        table = DATA / "table3.tsv"
+        assert main(["compare", "--matrix", str(table)]) == 0
+        expected = capsys.readouterr().out
+        matrix = _encoded(tmp_path, "table3.tsv", table.read_text(), variant)
+        assert main(["compare", "--matrix", matrix]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_spec_that_is_not_gzip_exit_1(tmp_path, capsys):
+    spec = tmp_path / "spec.ini.gz"
+    spec.write_text(SPEC_TEXT)
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: not a readable gzip file") and err.count("\n") == 1

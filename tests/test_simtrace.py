@@ -134,6 +134,8 @@ class TestRowCheck:
         ((7, 0.0, math.nan, 4.0, 1), r"\(0.0, nan, 4.0\)"),
         ((7, math.nan, 1.0, 4.0, 1), r"\(nan, 1.0, 4.0\)"),
         ((7, 0.0, 1.0, math.nan, 1), r"\(0.0, 1.0, nan\)"),
+        ((7, 0.0, 1.0, math.inf, 1), r"\(0.0, 1.0, inf\)"),  # trace_to_csv could not write it
+        ((7, -math.inf, 1.0, 4.0, 1), r"\(-inf, 1.0, 4.0\)"),
     ])
     def test_bad_row_raises_and_names_the_job(self, row, got):
         message = "job 7: need submit <= start < finish, got " + got

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from predictsched import synth
 from predictsched import (
     SynthSpec,
     SynthTemplate,
@@ -104,6 +105,30 @@ class TestSynthWorkload:
         # and an infinite offset gave a workload with no template jobs
         with pytest.raises(ValueError, match=f"template {field} must be a finite number"):
             dataclasses.replace(daily_template(), **{field: value})
+
+
+class TestJobBound:
+    def test_template_counts_at_the_bound_pass(self, monkeypatch):
+        monkeypatch.setattr(synth, "_MAX_JOBS", 10)
+        templates = (daily_template(count=4), daily_template(user=2, count=6))
+        spec = SynthSpec(horizon=20 * 86400, templates=templates)
+        assert len(synth_workload(spec)[0]) == 10
+        over = dataclasses.replace(spec, templates=templates + (daily_template(user=3, count=1),))
+        with pytest.raises(ValueError, match="^synthetic spec: template 2 would bring the "
+                                             "workload past 10 jobs$"):
+            synth_workload(over)
+
+    def test_background_counts_with_the_templates(self, monkeypatch):
+        spec = SynthSpec(horizon=10 * 86400, templates=(daily_template(count=5),),
+                         background_rate=1 / 3600)
+        # zero-jitter templates draw nothing, so the Poisson draw comes first
+        n_bg = int(np.random.default_rng(0).poisson(spec.background_rate * spec.horizon))
+        monkeypatch.setattr(synth, "_MAX_JOBS", 5 + n_bg)
+        wl, _ = synth_workload(spec)
+        assert len(wl) == 5 + n_bg
+        monkeypatch.setattr(synth, "_MAX_JOBS", 4 + n_bg)
+        with pytest.raises(ValueError, match=r"\[workload\] background_rate \* horizon"):
+            synth_workload(spec)
 
 
 class TestSpecFile:
