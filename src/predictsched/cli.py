@@ -5,15 +5,18 @@ simulate (one policy, trace + objectives), compare (many policies or a
 stored matrix, full ranking report), synth (generate a workload).  The
 PREDICTSCHED_SEED environment variable overrides any configured seed.
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors and on a
-path that cannot be read or written.
+path that cannot be read or written.  A command writes all its output files
+or none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
+import stat
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +80,40 @@ def _policy_token(token: str) -> str:
     return lowered
 
 
+def _write_all(outputs: list[tuple[str, str, str]]) -> None:
+    """Write each (path, text, note) output, or none of them, then print the
+    notes: every text goes to a temporary file in its path's directory, and
+    the temporary files replace their paths only once all are written.  An
+    OSError names the path."""
+    temps: list[str] = []
+    try:
+        for i, (path, text, _note) in enumerate(outputs):
+            # a path that is too long, under a regular file or a directory
+            # fails here, before any output replaces its path
+            try:
+                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
+            except FileNotFoundError:
+                is_dir = False
+            if is_dir:
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = os.path.join(os.path.dirname(path), f".predictsched-{os.getpid()}-{i}.tmp")
+            try:
+                with open(tmp, "x", encoding="utf-8") as fh:
+                    temps.append(tmp)
+                    fh.write(text)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for (path, _text, _note), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
+    for _path, _text, note in outputs:
+        print(note)
+
+
 def cmd_analyze(args) -> int:
     workload = load_workload(args.workload, args.format)
     series = to_time_series(workload, args.channel, args.bin_width)
@@ -98,8 +135,7 @@ def cmd_forecast(args) -> int:
     scored = [pred for pred, _ in score_predictions(patterns, now, args.horizon, params, args.mode)]
     csv_text = predictions_to_csv(scored, patterns)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-        print(f"wrote {len(scored)} predictions to {args.out}")
+        _write_all([(args.out, csv_text, f"wrote {len(scored)} predictions to {args.out}")])
     else:
         sys.stdout.write(csv_text)
     print(
@@ -142,14 +178,13 @@ def cmd_simulate(args) -> int:
     cluster = ClusterConfig(total_cpus=args.cpus)
     forecaster = _forecaster_config(args, [policy])
     trace, telemetry = run_with_telemetry(workload, cluster, policy, forecaster)
+    outputs = []
     if args.out:
-        Path(args.out).write_text(trace_to_csv(trace), encoding="utf-8")
-        print(f"trace written to {args.out}")
+        outputs.append((args.out, trace_to_csv(trace), f"trace written to {args.out}"))
     if args.feedback_out:
-        Path(args.feedback_out).write_text(
-            feedback_to_csv(telemetry.feedback), encoding="utf-8"
-        )
-        print(f"feedback log written to {args.feedback_out}")
+        outputs.append((args.feedback_out, feedback_to_csv(telemetry.feedback),
+                        f"feedback log written to {args.feedback_out}"))
+    _write_all(outputs)
     vec = objectives(trace, cluster)
     print(f"policy:      {trace.policy_name}")
     print(f"makespan:    {vec.makespan:g}")
@@ -188,11 +223,11 @@ def cmd_compare(args) -> int:
 def cmd_synth(args) -> int:
     spec = parse_synth_spec(read_text(args.spec))
     workload, truth = synth_workload(spec, seed=_seed(args))
-    Path(args.out).write_text(workload_to_csv(workload), encoding="utf-8")
-    print(f"wrote {len(workload)} jobs to {args.out}")
+    outputs = [(args.out, workload_to_csv(workload), f"wrote {len(workload)} jobs to {args.out}")]
     if args.truth:
-        Path(args.truth).write_text(truth_to_csv(truth), encoding="utf-8")
-        print(f"wrote {len(truth)} ground-truth occurrences to {args.truth}")
+        outputs.append((args.truth, truth_to_csv(truth),
+                        f"wrote {len(truth)} ground-truth occurrences to {args.truth}"))
+    _write_all(outputs)
     return 0
 
 

@@ -127,19 +127,35 @@ def _median(ordered: list) -> float:
     return ordered[i] if n % 2 else (ordered[i - 1] + ordered[i]) / 2
 
 
-class _Group:
-    """A requirement cluster, chain attempt or confidence cohort being built:
-    members in joining order, and sorted cpus and runtime lists with their
-    medians (statistics.median's arithmetic), kept current by add(), the one
-    place a median moves."""
+class _Rows:
+    """A chain attempt being built: members in joining order, and sorted
+    cpus and runtime lists.  No median is kept, since no join test reads
+    one; a Pattern built from the attempt takes its own."""
 
-    __slots__ = ("members", "cpus", "runtimes", "med_cpus", "med_runtime")
+    __slots__ = ("members", "cpus", "runtimes")
 
     def __init__(self, member, cpus: int, runtime: float):
         self.members, self.cpus, self.runtimes = [member], [cpus], [runtime]
+
+    def add(self, member, cpus: int, runtime: float) -> None:
+        self.members.append(member)
+        bisect.insort(self.cpus, cpus)
+        bisect.insort(self.runtimes, runtime)
+
+
+class _Group(_Rows):
+    """A requirement cluster or confidence cohort being built: rows with
+    their medians (statistics.median's arithmetic), kept current by add(),
+    the one place a median moves, since every join test reads them."""
+
+    __slots__ = ("med_cpus", "med_runtime")
+
+    def __init__(self, member, cpus: int, runtime: float):
+        super().__init__(member, cpus, runtime)
         self.med_cpus, self.med_runtime = cpus, runtime
 
     def add(self, member, cpus: int, runtime: float) -> None:
+        # _Rows.add inlined: clusters and cohorts add on the miner's hot path
         self.members.append(member)
         bisect.insort(self.cpus, cpus)
         bisect.insort(self.runtimes, runtime)
@@ -212,8 +228,8 @@ class _Chainer:
     gave up on; `avail[0]` anchors the attempt in progress.  While `partner`
     is 0 the attempt scans avail[next:] for the first member whose gap from
     the anchor qualifies.  From then on its chain is the anchor plus
-    avail[partner:next]: a group of occurrence rows, with the sorted gaps
-    beside it, that grows while the next member's gap from the tail stays
+    avail[partner:next]: occurrence rows (`_Rows`), with the sorted gaps
+    beside them, that grow while the next member's gap from the tail stays
     within the jitter bound of the median gap.
 
     An attempt that breaks on a member already present ends the same way
@@ -243,7 +259,7 @@ class _Chainer:
         self.next = 1  # the next index of avail the attempt examines
         # the attempt's chain, once it has a partner
         self.gaps: list[float] = []
-        self.chain: Optional[_Group] = None
+        self.chain: Optional[_Rows] = None
 
     def feed(self, jobs: Sequence[Job]) -> None:
         """Append members, none before the last one, and chain as far as they allow."""
@@ -270,7 +286,7 @@ class _Chainer:
                 partner = avail[k]
                 self.partner = k
                 self.gaps = [partner.submit_time - t0]
-                self.chain = _Group((anchor.job_id, t0), anchor.cpus, anchor.runtime)
+                self.chain = _Rows((anchor.job_id, t0), anchor.cpus, anchor.runtime)
                 self.chain.add((partner.job_id, partner.submit_time), partner.cpus, partner.runtime)
                 k += 1
             gaps, chain = self.gaps, self.chain
@@ -309,7 +325,7 @@ class _Chainer:
             layer=self.layer,
             user_id=self.avail[0].user_id,
             rep_cpus=int(chain.cpus[(len(chain.cpus) - 1) // 2]),  # median_low
-            rep_runtime=float(chain.med_runtime),
+            rep_runtime=float(_median(chain.runtimes)),
             period=float(_median(self.gaps)),
             occurrences=tuple(chain.members),
         )

@@ -203,11 +203,13 @@ def match_arrival(
 ) -> Optional[Reservation]:
     """Pick the live reservation this arrival most plausibly fulfils.
 
-    Candidates must match the predicted user (when patterns are per-user)
-    and requirements within the similarity tolerances, with the submit time
-    inside the reservation's match window.  The nearest window center wins.
-    active_reservations must come in res_id order, as the engine's live
-    book does; a tie goes to the earlier one in that order.
+    Candidates must match the predicted user (when patterns are per-user;
+    a prediction with a negative user id matches any user) and requirements
+    within the similarity tolerances, with the submit time inside the
+    reservation's match window.  The nearest window center wins.
+    active_reservations must come in res_id order; a tie goes to the
+    earlier one in that order.  The engine passes only the part of its
+    live book that can match (see _Engine._candidates).
     """
     best: Optional[Reservation] = None
     best_d = 0.0
@@ -236,6 +238,10 @@ class _Engine:
     active_reservations is the live book: only PENDING and HELD
     reservations, keyed by res_id in creation order.  A reservation leaves
     it the moment it ends; Telemetry.reservations keeps the full history.
+    Two indexes of the book change only where it does (_consider_prediction
+    and _end): by_user, one bucket per prediction user id in res_id order,
+    and hard_live, the live hard reservations.  any_user_live counts the
+    live ones whose prediction user id is negative.
     queue holds the waiting jobs keyed by job id, in (submit_time, job_id)
     order; running maps job id to the view's row (job, start, estimated
     finish), in start order.  _check_accounting recounts all of it after
@@ -273,6 +279,9 @@ class _Engine:
         self.running: dict[int, tuple[Job, float, float]] = {}
         self.queue: dict[int, Job] = {}
         self.active_reservations: dict[int, Reservation] = {}
+        self.by_user: dict[int, dict[int, Reservation]] = {}
+        self.hard_live: dict[int, Reservation] = {}
+        self.any_user_live = 0
         self.now = 0.0
         self.events: list[tuple[float, int, int, object]] = []
         self.seq = 0
@@ -411,7 +420,16 @@ class _Engine:
             else:
                 self.soft_held -= res.cpus
         res.state = outcome
-        del self.active_reservations[res.res_id]
+        res_id, user_id = res.res_id, res.prediction.user_id
+        del self.active_reservations[res_id]
+        bucket = self.by_user[user_id]
+        del bucket[res_id]
+        if not bucket:
+            del self.by_user[user_id]
+        if user_id < 0:
+            self.any_user_live -= 1
+        if res.decision is _HARD:
+            del self.hard_live[res_id]
         if outcome is _CANCELLED:
             return
         came_true = outcome is _CONSUMED
@@ -451,7 +469,7 @@ class _Engine:
         self.submits += 1
         res = None
         if self.fc is not None:
-            res = match_arrival(job, self.active_reservations.values(), self.fc.similarity)
+            res = match_arrival(job, self._candidates(job), self.fc.similarity)
             if res is not None:
                 self._end(res, _CONSUMED)
         if res is not None and res.holds_capacity and job.cpus <= self.free_cpus:
@@ -459,6 +477,15 @@ class _Engine:
         else:
             self.queue[job.job_id] = job
         self._policy_pending = True
+
+    def _candidates(self, job: Job) -> Collection[Reservation]:
+        """The part of the live book, in res_id order, that can match the
+        arrival: its user's bucket, or the whole book when patterns span
+        users or a prediction of any user (negative user id) is live."""
+        if self.any_user_live or not self.fc.similarity.same_user:
+            return self.active_reservations.values()
+        bucket = self.by_user.get(job.user_id)
+        return bucket.values() if bucket else ()
 
     def _on_finish(self, job: Job) -> None:
         del self.running[job.job_id]
@@ -540,16 +567,20 @@ class _Engine:
         )
         self.next_res_id += 1
         self.active_reservations[res.res_id] = res
+        self.by_user.setdefault(pred.user_id, {})[res.res_id] = res
+        if pred.user_id < 0:
+            self.any_user_live += 1
+        if decision is _HARD:
+            self.hard_live[res.res_id] = res
         self.telemetry.reservations.append(res)
         if res.holds_capacity:
             self._push(window_start, _RES_START, res)
         self._push(window_end, _RES_EXPIRE, res)
 
     def _duplicate_reservation(self, pred: PredictedJob, width: float) -> bool:
-        for res in self.active_reservations.values():
+        # a duplicate has the prediction's own user id, so only its bucket
+        for res in self.by_user.get(pred.user_id, {}).values():
             p = res.prediction
-            if p.user_id != pred.user_id:
-                continue
             if not reqs_match(
                 pred.cpus, p.cpus, pred.runtime, p.runtime, self.fc.similarity
             ):
@@ -590,7 +621,7 @@ class _Engine:
             self.free_cpus,
             tuple(queue.values()),
             tuple(self.running.values()),
-            self._hard_windows() if self.fc is not None else (),
+            self._hard_windows() if self.hard_live else (),
         )
         for job in self.policy.select(view):
             if job.job_id not in queue:
@@ -601,10 +632,8 @@ class _Engine:
             self._start_job(job)
 
     def _hard_windows(self):
-        rows = []
-        for res in self.active_reservations.values():
-            if res.decision is Decision.HARD_RESERVE:
-                rows.append((res.window_start, res.window_end, res.cpus))
+        # from the hard index, so a call with none live scans nothing
+        rows = [(r.window_start, r.window_end, r.cpus) for r in self.hard_live.values()]
         return tuple(sorted(rows))
 
 

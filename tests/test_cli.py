@@ -665,6 +665,53 @@ def test_path_that_cannot_be_read_or_written_exit_2(option, case, two_job_csv, t
     assert str(bad) in err and "Traceback" not in err
 
 
+# a command with two output files, with GOOD where the writable one goes
+TWO_OUTPUTS = {
+    "synth": ["synth", "--spec", "SPEC", "--out", "GOOD", "--truth", "BAD"],
+    "synth-out-bad": ["synth", "--spec", "SPEC", "--out", "BAD", "--truth", "GOOD"],
+    "simulate": ["simulate", "--workload", "WL", "--cpus", "1", "--policy", "fcfs",
+                 "--out", "GOOD", "--feedback-out", "BAD"],
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "under-a-file", "long-name"])
+@pytest.mark.parametrize("command", sorted(TWO_OUTPUTS))
+@pytest.mark.parametrize("existing", [False, True])
+def test_outputs_written_all_or_none(command, case, existing, two_job_csv, tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    good = tmp_path / "good.csv"
+    if existing:
+        good.write_text("old\n")
+    paths = {"BAD": str(_bad_path(case, tmp_path)), "GOOD": str(good),
+             "WL": str(two_job_csv), "SPEC": str(spec)}
+    before = sorted(tmp_path.iterdir())
+    assert main([paths.get(arg, arg) for arg in TWO_OUTPUTS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    # nothing written, nothing left behind
+    assert sorted(tmp_path.iterdir()) == before
+    assert good.read_text() == "old\n" if existing else not good.exists()
+
+
+def test_output_name_near_the_longest_allowed_is_written(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    out, truth = tmp_path / ("o" * 251 + ".csv"), tmp_path / ("t" * 251 + ".csv")
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--truth", str(truth)]) == 0
+    assert out.read_text().startswith("job_id,") and truth.exists()
+    assert sorted(tmp_path.iterdir()) == sorted([spec, out, truth])
+
+
+def test_undecodable_workload_exit_1_naming_the_line(two_job_csv, tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    path.write_bytes(two_job_csv.read_bytes() + b"# caf\xe9\n")  # header, two jobs, then this
+    assert main(["simulate", "--workload", str(path), "--cpus", "1", "--policy", "fcfs"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 4: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+    )
+
+
 def _encoded(tmp_path, name, text, variant):
     if variant == "bom":
         path = tmp_path / name

@@ -22,6 +22,7 @@ from predictsched import (
     workload_to_csv,
 )
 from predictsched.cli import main
+from predictsched.workload import read_text
 
 from conftest import (
     CSV_COLUMNS,
@@ -283,6 +284,28 @@ class TestLoadWorkload:
         path.write_bytes(data)
         with pytest.raises(ParseError, match="not a readable gzip file"):
             load_workload(str(path))
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("variant", ["plain", "bom", "gzip"])
+    def test_undecodable_byte_names_the_path_and_line(self, tmp_path, eol, variant):
+        data = f"{CSV.splitlines()[0]}{eol}# caf\xe9{eol}".encode("latin-1")
+        data = b"# first" + eol.encode() + data
+        if variant == "bom":
+            data = b"\xef\xbb\xbf" + data
+        path = tmp_path / ("w.csv.gz" if variant == "gzip" else "w.csv")
+        path.write_bytes(gzip.compress(data) if variant == "gzip" else data)
+        message = f"{path}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            read_text(str(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="a\xe9\u20ac\r\n\ufeff,", max_size=40), st.booleans())
+    def test_reads_as_text_mode_does(self, tmp_path_factory, text, bom):
+        # a leading byte order mark skipped, every CRLF, CR or LF read as LF
+        path = tmp_path_factory.mktemp("text") / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+        with open(path, encoding="utf-8-sig") as fh:
+            assert read_text(str(path)) == fh.read()
 
     def test_cli_reads_gzip_and_rejects_a_corrupt_one(self, tmp_path, capsys):
         good, bad = tmp_path / "t.swf.gz", tmp_path / "bad.swf.gz"

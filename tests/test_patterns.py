@@ -2,7 +2,7 @@ import statistics
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from predictsched import (
     Pattern,
@@ -705,6 +705,27 @@ def split_streams(draw):
     return batches, params
 
 
+@st.composite
+def chained_requirement_streams(draw):
+    """job_streams' periodic times in batches, with cpus and runtimes that
+    differ inside a chain under nonzero tolerances, so that chains of even
+    length have two middle values apart."""
+    params = SimilarityParams(
+        cpu_tol=draw(st.sampled_from([0.0, 0.25, 0.5])),
+        runtime_tol=draw(st.sampled_from([0.25, 0.5])),
+        min_occurrences=draw(st.sampled_from([3, 4])),
+    )
+    times = sorted(draw(st.one_of(_beats(30), _progressions(30))))
+    jobs = [
+        make_job(i + 1, t, draw(st.sampled_from([3000, 3600, 3900, 4500, 9000])),
+                 draw(st.sampled_from([3, 4, 4, 5, 6, 8])))
+        for i, t in enumerate(times)
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(jobs)), max_size=4)))
+    bounds = [0, *cuts, len(jobs)]
+    return [jobs[a:b] for a, b in zip(bounds, bounds[1:])], params
+
+
 def checked_group_add(reqs_of):
     """Patch _Group.add to check, after every call, that the cached medians
     equal statistics.median over the members' own (cpus, runtime)."""
@@ -733,14 +754,23 @@ class TestCachedMedians:
             assert cluster.med_runtime == statistics.median(j.runtime for j in cluster.members)
 
     @settings(max_examples=200, deadline=None)
-    @given(job_streams(max_users=1, max_jobs=30))
-    def test_chain_medians_after_every_add(self, jobs):
-        by_id = {j.job_id: j for j in jobs}
-        chainer = patterns_module._Chainer(SimilarityParams())
-        with checked_group_add(lambda row: (by_id[row[0]].cpus, by_id[row[0]].runtime)):
-            for job in jobs:
-                chainer.feed([job])
-            chainer.patterns(0)
+    @given(chained_requirement_streams())
+    def test_pattern_medians_of_its_jobs(self, case):
+        # chain attempts cache no median: each layer-1 Pattern takes its
+        # own, from the closed chains and the open tails after every batch
+        batches, params = case
+        by_id = {j.job_id: j for batch in batches for j in batch}
+        miner = PatternMiner(params)
+        checked = 0
+        for batch in batches:
+            miner.add(batch)
+            for p in miner.patterns():
+                if p.layer == 1:
+                    jobs = [by_id[job_id] for job_id, _t in p.occurrences]
+                    assert p.rep_cpus == statistics.median_low(j.cpus for j in jobs)
+                    assert p.rep_runtime == statistics.median(j.runtime for j in jobs)
+                    checked += 1
+        assume(checked)
 
 
 class TestResumableChaining:

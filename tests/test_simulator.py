@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import heapq
 import io
 
@@ -248,6 +249,12 @@ class TestMatchArrival:
             match_arrival(job, [res], SimilarityParams(same_user=False)) is res
         )
 
+    def test_negative_predicted_user_matches_any_user(self):
+        res = self.make_res(0, 259200.0, user=-1)
+        for user in (-1, 1, 2):
+            job = make_job(1, 259200.0, 3600, 4, user=user)
+            assert match_arrival(job, [res], SimilarityParams()) is res
+
     def test_consumed_reservation_ignored(self):
         res = self.make_res(0, 259200.0)
         res.state = ResState.CONSUMED
@@ -407,9 +414,15 @@ class TestLifecycleProperty:
 
 class BookCheckingEngine(_Engine):
     """Checks after every event that the book holds exactly the live
-    reservations, in res_id order."""
+    reservations, in res_id order, and that its indexes agree with it: the
+    user buckets partition it, each in res_id order, and the hard index
+    holds exactly its hard reservations.  At every submit it checks that
+    the candidates the engine hands match_arrival pick the reservation a
+    scan of the whole book picks."""
 
     checks = 0
+    matched = 0  # submits that a whole-book scan matches to a reservation
+    matched_across_users = 0  # ... to a prediction of another user id
 
     def _check_accounting(self):
         super()._check_accounting()
@@ -417,25 +430,65 @@ class BookCheckingEngine(_Engine):
         book = self.active_reservations
         assert list(book) == [r.res_id for r in live]
         assert all(book[r.res_id] is r for r in live)
+        for user_id, bucket in self.by_user.items():
+            assert bucket and list(bucket) == sorted(bucket)
+            assert all(
+                book[res_id] is r and r.prediction.user_id == user_id
+                for res_id, r in bucket.items()
+            )
+        assert sum(map(len, self.by_user.values())) == len(book)
+        assert list(self.hard_live.items()) == [(k, r) for k, r in book.items() if r.hard]
+        assert self.any_user_live == sum(r.prediction.user_id < 0 for r in live)
         self.checks += 1
+
+    def _candidates(self, job):
+        candidates = super()._candidates(job)
+        ids = [r.res_id for r in candidates]
+        assert ids == sorted(ids)
+        similarity = self.fc.similarity
+        expected = match_arrival(job, self.active_reservations.values(), similarity)
+        assert match_arrival(job, candidates, similarity) is expected
+        if expected is not None:
+            self.matched += 1
+            self.matched_across_users += expected.prediction.user_id != job.user_id
+        return candidates
+
+
+def run_book_checked(workload, same_user=True):
+    fc = ForecasterConfig(
+        similarity=SimilarityParams(same_user=same_user),
+        thresholds=ThresholdState(0.05, 0.1, min_gap=0.05),
+    )
+    engine = BookCheckingEngine(workload, ClusterConfig(16), make_policy("dl"), fc)
+    engine.run()
+    assert engine.checks > 0 and engine.matched > 0
+    assert engine.active_reservations == {}
+    assert engine.by_user == {} and engine.hard_live == {}
+    history = engine.telemetry.reservations
+    assert [r.res_id for r in history] == list(range(engine.next_res_id))
+    # every way out of the book is exercised
+    assert {r.state for r in history} == {
+        ResState.CONSUMED, ResState.EXPIRED, ResState.CANCELLED
+    }
+    assert any(r.hard for r in history)
+    return engine
 
 
 class TestLiveBook:
     def test_book_holds_exactly_the_live_reservations(self):
-        fc = ForecasterConfig(thresholds=ThresholdState(0.05, 0.1, min_gap=0.05))
-        engine = BookCheckingEngine(
-            weekly_workload(), ClusterConfig(16), make_policy("dl"), fc
-        )
-        engine.run()
-        assert engine.checks > 0
-        assert engine.active_reservations == {}
-        history = engine.telemetry.reservations
-        assert [r.res_id for r in history] == list(range(engine.next_res_id))
-        # every way out of the book is exercised
-        assert {r.state for r in history} == {
-            ResState.CONSUMED, ResState.EXPIRED, ResState.CANCELLED
-        }
-        assert any(r.hard for r in history)
+        engine = run_book_checked(weekly_workload())
+        assert engine.matched_across_users == 0
+
+    @pytest.mark.parametrize("user_2, same_user", [(-1, True), (2, False)])
+    def test_arrivals_match_other_users_as_a_whole_book_scan_does(self, user_2, same_user):
+        # a prediction of user id -1 matches any user's arrival, as does
+        # every prediction when patterns span users
+        workload = make_workload(*(
+            dataclasses.replace(j, user_id=user_2) if j.user_id == 2 else j
+            for j in weekly_workload()
+        ))
+        engine = run_book_checked(workload, same_user)
+        assert engine.matched_across_users > 0
 
 
 class RecordingPolicy(Policy):
