@@ -5,15 +5,14 @@ simulate (one policy, trace + objectives), compare (many policies or a
 stored matrix, full ranking report), synth (generate a workload).  The
 PREDICTSCHED_SEED environment variable overrides any configured seed.
 Exit status: 0 on success, 1 on domain errors, 2 on usage errors and on a
-path that cannot be read or written.  A command writes all its output files
-or none of them.
+path that cannot be read or written.  A command opens all its output files
+before it writes any of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import os
 import stat
 import sys
@@ -81,34 +80,36 @@ def _policy_token(token: str) -> str:
 
 
 def _write_all(outputs: list[tuple[str, str, str]]) -> None:
-    """Write each (path, text, note) output, or none of them, then print the
-    notes: every text goes to a temporary file in its path's directory, and
-    the temporary files replace their paths only once all are written.  An
-    OSError names the path."""
-    temps: list[str] = []
+    """Write each (path, text, note) output, then print the notes.  Every
+    path is opened for writing first, as it is, so a symlink is written
+    through and a device or an existing file keeps its identity; only once
+    all are open is any truncated and written, devices and pipes first.  A
+    path that cannot be opened (missing directory, a directory, read-only,
+    too long) changes no output, and on any error a file this call created
+    is removed.  An OSError names the path."""
+    created: list[str] = []
+    current = None  # the path being opened or written
     try:
-        for i, (path, text, _note) in enumerate(outputs):
-            # a path that is too long, under a regular file or a directory
-            # fails here, before any output replaces its path
-            try:
-                is_dir = stat.S_ISDIR(os.stat(path).st_mode)
-            except FileNotFoundError:
-                is_dir = False
-            if is_dir:
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            tmp = os.path.join(os.path.dirname(path), f".predictsched-{os.getpid()}-{i}.tmp")
-            try:
-                with open(tmp, "x", encoding="utf-8") as fh:
-                    temps.append(tmp)
-                    fh.write(text)
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-        for (path, _text, _note), tmp in zip(outputs, temps):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in temps:
+        with contextlib.ExitStack() as stack:
+            files = []
+            for current, text, _note in outputs:
+                existed = os.path.exists(current)
+                fd = os.open(current, os.O_WRONLY | os.O_CREAT, 0o666)
+                if not existed:
+                    created.append(os.path.realpath(current))
+                fh = stack.enter_context(open(fd, "w", encoding="utf-8"))
+                files.append((stat.S_ISREG(os.fstat(fd).st_mode), current, fh, text))
+            for is_regular, current, fh, text in sorted(files, key=lambda f: f[0]):
+                if is_regular:
+                    fh.truncate(0)
+                fh.write(text)
+                fh.flush()
+    except BaseException as exc:
+        for path in created:
             with contextlib.suppress(OSError):
-                os.remove(tmp)
+                os.remove(path)
+        if isinstance(exc, OSError) and exc.filename is None:
+            raise OSError(exc.errno, exc.strerror, current) from None
         raise
     for _path, _text, note in outputs:
         print(note)

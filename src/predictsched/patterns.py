@@ -155,10 +155,7 @@ class _Group(_Rows):
         self.med_cpus, self.med_runtime = cpus, runtime
 
     def add(self, member, cpus: int, runtime: float) -> None:
-        # _Rows.add inlined: clusters and cohorts add on the miner's hot path
-        self.members.append(member)
-        bisect.insort(self.cpus, cpus)
-        bisect.insort(self.runtimes, runtime)
+        _Rows.add(self, member, cpus, runtime)
         self.med_cpus, self.med_runtime = _median(self.cpus), _median(self.runtimes)
 
     def matches_reqs(self, cpus: int, runtime: float, params: SimilarityParams) -> bool:

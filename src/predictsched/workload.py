@@ -293,25 +293,30 @@ def write_csv(header: Sequence[str], rows) -> str:
 
 def read_text(path: str) -> str:
     """The text of any input file: read through gzip when its name ends in
-    .gz, as UTF-8 with a leading byte order mark skipped and every line end
-    (CRLF, CR or LF) read as LF, as text mode reads it.  A file that is
+    .gz, as UTF-8 with a leading byte order mark skipped.  A file that is
     not valid gzip, or holds a byte that is not UTF-8, is a ParseError
     naming the path (and the physical line of the byte)."""
     opener = gzip.open if str(path).lower().endswith(".gz") else open
     try:
-        with opener(path, "rb") as fh:
-            data = fh.read()
+        try:
+            with opener(path, "rt", encoding="utf-8-sig") as fh:
+                return fh.read()
+        except UnicodeDecodeError as exc:
+            # the text reader's position is within a chunk: find the byte again
+            reason = exc.reason
+            with opener(path, "rb") as fh:
+                data = fh.read()
     except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
         raise ParseError(f"{path}: not a readable gzip file ({exc})") from None
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         lineno = head.count(b"\n") + 1
         raise ParseError(
             f"{path}: line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
         ) from None
-    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    raise ParseError(f"{path}: a byte is not UTF-8 ({reason})")  # the file changed since
 
 
 def load_workload(path: str, fmt: Optional[str] = None) -> Workload:

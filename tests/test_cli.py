@@ -2,6 +2,7 @@ import codecs
 import csv
 import gzip
 import hashlib
+import os
 from pathlib import Path
 
 import numpy as np
@@ -701,6 +702,46 @@ def test_output_name_near_the_longest_allowed_is_written(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec), "--out", str(out), "--truth", str(truth)]) == 0
     assert out.read_text().startswith("job_id,") and truth.exists()
     assert sorted(tmp_path.iterdir()) == sorted([spec, out, truth])
+
+
+def test_outputs_write_through_links_and_keep_file_identity(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    real, link, truth = tmp_path / "real.csv", tmp_path / "link.csv", tmp_path / "t.csv"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    truth.write_text("old\n")
+    truth.chmod(0o640)
+    before = os.stat(truth)
+    assert main(["synth", "--spec", str(spec), "--out", str(link), "--truth", str(truth)]) == 0
+    assert link.is_symlink() and real.read_text().startswith("job_id,")
+    after = os.stat(truth)
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert truth.read_text().startswith("template_id,")
+
+
+def test_outputs_to_devices(two_job_csv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--workload", str(two_job_csv), "--cpus", "1", "--policy", "fcfs",
+                 "--out", str(out), "--feedback-out", "/dev/null"]) == 0
+    assert out.read_text().startswith("job_id,")
+    assert "feedback log written to /dev/null" in capsys.readouterr().out
+    # a device that fails its write leaves no output file created
+    out.unlink()
+    assert main(["simulate", "--workload", str(two_job_csv), "--cpus", "1", "--policy", "fcfs",
+                 "--out", str(out), "--feedback-out", "/dev/full"]) == 2
+    assert "/dev/full" in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+def test_read_only_output_exit_2_and_unchanged(tmp_path, capsys):
+    spec = tmp_path / "spec.ini"
+    spec.write_text(SPEC_TEXT)
+    out, truth = tmp_path / "o.csv", tmp_path / "t.csv"
+    truth.write_text("old\n")
+    truth.chmod(0o444)
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--truth", str(truth)]) == 2
+    assert truth.read_text() == "old\n" and not out.exists()
 
 
 def test_undecodable_workload_exit_1_naming_the_line(two_job_csv, tmp_path, capsys):

@@ -298,15 +298,6 @@ class TestLoadWorkload:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             read_text(str(path))
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.text(alphabet="a\xe9\u20ac\r\n\ufeff,", max_size=40), st.booleans())
-    def test_reads_as_text_mode_does(self, tmp_path_factory, text, bom):
-        # a leading byte order mark skipped, every CRLF, CR or LF read as LF
-        path = tmp_path_factory.mktemp("text") / "t.csv"
-        path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
-        with open(path, encoding="utf-8-sig") as fh:
-            assert read_text(str(path)) == fh.read()
-
     def test_cli_reads_gzip_and_rejects_a_corrupt_one(self, tmp_path, capsys):
         good, bad = tmp_path / "t.swf.gz", tmp_path / "bad.swf.gz"
         good.write_bytes(gzip.compress(SWF.encode()))
